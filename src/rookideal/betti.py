@@ -490,7 +490,10 @@ def invariant_report(
     height = min(sizes)
     bight = max(sizes)
     dim = ambient_count - height
-    assert depth <= dim, "depth exceeded dim; the table or the primes are wrong"
+    if depth > dim:
+        raise ArithmeticError(
+            f"depth {depth} exceeds dim {dim}; the table or the primes are wrong"
+        )
     a_inv = None
     if ideal.is_squarefree:
         a_inv = hilbert_series(ideal, ambient_count).a_invariant

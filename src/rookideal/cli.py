@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 usage or input error, 2 verification failure,
-3 resource guard tripped (rerun with --allow-long).
+Exit codes: 0 success, 1 usage or input error (including a ValueError raised
+by the library), 2 verification failure, 3 resource guard tripped (rerun with
+--allow-long).
 """
 
 from __future__ import annotations
@@ -228,6 +229,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
+        return 1
+    except ValueError as exc:
+        sys.stderr.write(f"error: {exc}\n")
         return 1
 
 

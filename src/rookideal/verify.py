@@ -293,21 +293,7 @@ def paper_suite(threads: int = 1, include_long_stubs: bool = True):
                     "minutes-scale; run the long suite",
                 )
             )
-        cases.append(
-            _skipped(
-                "four-four",
-                "reg and depth of the 4x4 board ideal",
-                "reg = depth = 6 on the 4x4 board",
-                "stretch case; run the long suite",
-            )
-        )
-    return cases
 
-
-def long_suite(threads: int = 1):
-    cases = []
-    cases.append(_board_power_case(3, 4, 8, 1, threads=threads))
-    cases.append(_board_power_case(4, 3, 6, 1, threads=threads))
     t0 = time.perf_counter()
     board = Board(4, 4)
     rep = _dual_char_report(
@@ -324,6 +310,13 @@ def long_suite(threads: int = 1):
         )
     )
     return cases
+
+
+def long_suite(threads: int = 1):
+    return [
+        _board_power_case(3, 4, 8, 1, threads=threads),
+        _board_power_case(4, 3, 6, 1, threads=threads),
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 All values are exact integers, computed at characteristic 32003 with a GF(2)
 cross-run; a field disagreement fails the criterion with a torsion diagnostic.
 One summary line prints per criterion (run with -s to see them on success).
-The minutes-scale cases carry the 'long' marker and are deselected by default.
+The minutes-scale depth-drop cases carry the 'long' marker and are deselected
+by default.
 """
 
 import pytest
@@ -98,7 +99,7 @@ def test_criterion_4_long_depth_drop():
     _check("4-long two-row depth drop", cases)
 
 
-@pytest.mark.long
-def test_criterion_10_four_by_four():
-    cases = [c for c in long_suite() if c.id == "four-four"]
+def test_criterion_10_four_by_four(paper_cases):
+    cases = _select(paper_cases, "four-four")
+    assert len(cases) == 1
     _check("10 four-by-four stretch", cases)

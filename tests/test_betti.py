@@ -4,6 +4,7 @@ from rookideal import (
     GF2,
     DEFAULT_FIELD,
     Board,
+    FieldSpec,
     Monomial,
     MonomialIdeal,
     VariableSet,
@@ -75,6 +76,15 @@ class TestHochsterRoute:
     def test_rejects_non_squarefree(self):
         with pytest.raises(ValueError):
             betti_table_hochster(facet_ideal(Board(2, 2)) ** 2)
+
+    def test_prime_beyond_word_products_matches_32003(self):
+        # p^2 > 2^63 here, so any fixed-width product of two residues would wrap
+        board = Board(3, 4)
+        ideal = facet_ideal(board)
+        big = betti_table_hochster(ideal, FieldSpec(4294967311), board_symmetries(board))
+        usual = betti_table_hochster(ideal, DEFAULT_FIELD, board_symmetries(board))
+        assert big.entries == usual.entries
+        assert big.quotient().reg() == 4
 
     def test_matches_full_subset_oracle(self):
         for ideal in (

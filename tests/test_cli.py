@@ -110,6 +110,13 @@ class TestInvariantsCommand:
         code, _, err = run_cli(capsys, "invariants", "--m", "2", "--n", "2", "--char", "6")
         assert code == 1
 
+    def test_ambient_below_support_is_a_clean_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "invariants", "--m", "2", "--n", "2", "--ambient", "1"
+        )
+        assert code == 1 and out == ""
+        assert err == "error: declared ambient is smaller than the support\n"
+
     def test_threads_flag_gives_same_numbers(self, capsys):
         _, one, _ = run_cli(capsys, "invariants", "--m", "2", "--n", "3", "--threads", "1")
         _, two, _ = run_cli(capsys, "invariants", "--m", "2", "--n", "3", "--threads", "2")

@@ -1,5 +1,10 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from rookideal import homology
 from rookideal import (
     GF2,
     DEFAULT_FIELD,
@@ -97,10 +102,28 @@ class TestRank:
         assert rank(boundary_matrix(HOLLOW_TRIANGLE, 1, GF2), GF2) == 2
 
     def test_large_prime_path(self):
-        # force the dense numpy kernel with a rectangular block
+        # a 0/1 block whose rank is the same at 32003 and at 101
         entries = tuple((i, j, 1) for i in range(40) for j in range(120) if (i + j) % 7 == 0)
         mx = SparseMatrix(40, 120, entries)
-        assert rank(mx, DEFAULT_FIELD) == rank(mx, FieldSpec(101))
+        assert rank(mx, DEFAULT_FIELD) == rank(mx, FieldSpec(101)) == 7
+
+    @pytest.mark.parametrize("p", [101, 32003, 4294967311])
+    def test_entries_near_the_modulus(self, p):
+        def dense(rows):
+            entries = ((i, j, v) for i, row in enumerate(rows) for j, v in enumerate(row) if v)
+            return SparseMatrix(3, 3, tuple(entries))
+
+        # rows (-1, -2, 0), (-2, -1, -1), (0, -1, -2) have determinant 7
+        rows = [(p - 1, p - 2, 0), (p - 2, p - 1, p - 1), (0, p - 1, p - 2)]
+        assert rank(dense(rows), FieldSpec(p)) == 3
+        # the third row replaced by the sum of the first two, written near p
+        assert rank(dense(rows[:2] + [(p - 3, p - 3, p - 1)]), FieldSpec(p)) == 2
+
+    def test_entries_reduced_mod_p(self):
+        # 7 is a stored nonzero but vanishes mod 7
+        mx = SparseMatrix(2, 2, ((0, 0, 7), (1, 1, 1)))
+        assert rank(mx, FieldSpec(7)) == 1
+        assert rank(mx, FieldSpec(5)) == 2
 
 
 class TestReducedBetti:
@@ -135,3 +158,29 @@ class TestReducedBetti:
     def test_full_simplex_acyclic(self):
         cx = SimplicialComplex.full_simplex(V4)
         assert not any(reduced_betti(cx, GF2).values())
+
+    def test_rank_beyond_face_count_raises(self, monkeypatch):
+        # one pivot too many on every map makes some Betti number negative
+        real = homology._reduce_columns
+
+        def one_too_many(columns, p, skip=frozenset()):
+            return real(columns, p, skip) | {-1}
+
+        monkeypatch.setattr(homology, "_reduce_columns", one_too_many)
+        for field in (DEFAULT_FIELD, GF2):
+            with pytest.raises(ArithmeticError):
+                reduced_betti(HOLLOW_TRIANGLE, field)
+
+
+def test_import_needs_no_numpy():
+    src = Path(homology.__file__).resolve().parents[1]
+    probe = "import sys, rookideal; print('numpy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
