@@ -2,7 +2,7 @@
 """Run the full reproduction catalog and write a JSON report.
 
 The quick suites (paper, properties) finish in seconds; --long adds the
-minutes-scale stretch cases (two-row depth drops and the 4x4 board).
+stretch case (the depth drop of the 2x4 board ideal at t=3).
 """
 
 import argparse

@@ -9,14 +9,21 @@ Two independent routes produce the table of an ideal:
   at each lattice point.
 
 Both sweeps accept an optional symmetry group (variable permutations fixing
-the generator set); orbits then share one homology computation. Multidegree
-jobs can be fanned out over processes; the reduction is a plain sum, so the
-result is schedule independent.
+the generator set); orbits then share one homology computation.
+
+A table is a sweep plan evaluated at a prime. The plan is the part that does
+not depend on the field: the symmetry check, the lattice closure (exponent
+vectors packed into one int each, joined by a SWAR max), the orbit collapse
+and each orbit's facet set, degree and size. The last plan built is kept, so
+a report cross-checked at 32003 and GF(2) builds it once; clear_table_cache()
+drops it with the cached tables. Plan jobs can be fanned out over processes;
+the reduction is a plain sum, so the result is schedule independent.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
@@ -29,7 +36,9 @@ _TABLE_CACHE: dict[tuple, "BettiTable"] = {}
 
 
 def clear_table_cache():
+    """Forget every cached table and the kept sweep plan."""
     _TABLE_CACHE.clear()
+    _PLAN_MEMO.clear()
 
 
 class BettiTable:
@@ -114,116 +123,193 @@ class BettiTable:
 
 
 # ---------------------------------------------------------------------------
-# lattices, symmetry orbits, sweep workers
+# lattices, symmetry orbits, sweep plans and the sweep worker
 
 
 def _union_closure(masks) -> list[int]:
-    masks = sorted(set(masks))
-    lattice = set(masks)
-    frontier = list(masks)
-    while frontier:
-        fresh = []
-        for b in frontier:
-            for g in masks:
-                j = b | g
-                if j not in lattice:
-                    lattice.add(j)
-                    fresh.append(j)
-        frontier = fresh
+    """The closure of the support masks under union, sorted. Adding one
+    generator g to the closure L of the ones before it adds {b | g : b in L}."""
+    lattice: set[int] = set()
+    for g in sorted(set(masks)):
+        lattice |= {b | g for b in lattice}
+        lattice.add(g)
     return sorted(lattice)
 
 
-def _join_closure(vectors) -> list[tuple[int, ...]]:
-    vectors = sorted(set(vectors))
-    lattice = set(vectors)
-    frontier = list(vectors)
-    while frontier:
-        fresh = []
-        for b in frontier:
-            for g in vectors:
-                j = tuple(map(max, b, g))
-                if j not in lattice:
-                    lattice.add(j)
-                    fresh.append(j)
-        frontier = fresh
-    return sorted(lattice)
+# Both lattices hold packed points: one int per point, variable i in a field
+# of w bits. A squarefree support is a bitmask (w = 1, variable i at bit i).
+# An exponent vector has the first variable in the most significant field, so
+# that integer order is tuple order, and w = (largest exponent).bit_length()
+# + 1: the top bit of every field is a guard bit, clear in a packed vector.
 
 
-def _apply_perm_mask(perm, mask: int) -> int:
+def _field_width(vectors) -> int:
+    return max(map(max, vectors)).bit_length() + 1
+
+
+def _vector_offsets(width: int, count: int) -> list[int]:
+    return [width * (count - 1 - i) for i in range(count)]
+
+
+def _pack(vector, width: int) -> int:
     out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << perm[low.bit_length() - 1]
-        mask ^= low
+    for e in vector:
+        out = (out << width) | e
     return out
 
 
-def _apply_perm_vec(perm, vec) -> tuple[int, ...]:
-    out = [0] * len(vec)
-    for i, e in enumerate(vec):
-        if e:
-            out[perm[i]] = e
-    return tuple(out)
+def _unpack(packed: int, width: int, count: int) -> tuple[int, ...]:
+    low = (1 << width) - 1
+    return tuple((packed >> at) & low for at in _vector_offsets(width, count))
 
 
-def _check_symmetries(items: set, perms, apply) -> None:
-    for perm in perms:
-        if {apply(perm, x) for x in items} != items:
-            raise ValueError("symmetry does not fix the generating set")
+def _join_closure(gens: list[int], width: int, count: int) -> list[int]:
+    """The lcm lattice of packed exponent vectors: their closure under
+    coordinatewise max, sorted, built a generator at a time as the union
+    closure is. The join is a SWAR max: b - g with every guard bit of b set
+    keeps a guard bit exactly where b >= g, and d - (d >> (w-1)) widens those
+    guards into masks of the fields that b wins."""
+    guards = sum(1 << (at + width - 1) for at in _vector_offsets(width, count))
+    shift = width - 1
+    lattice: set[int] = set()
+    for g in sorted(set(gens)):
+        lattice |= {
+            g ^ ((b ^ g) & ((d := ((b | guards) - g) & guards) - (d >> shift))) for b in lattice
+        }
+        lattice.add(g)
+    return sorted(lattice)
 
 
-def _orbit_jobs(lattice, perms, apply) -> list[tuple[object, int]]:
-    """Collapse the lattice into (representative, orbit size) jobs."""
+def _symmetry_images(gens: list[int], perms, width: int, offsets: list[int]):
+    """images(x): the images of the packed point x under every permutation
+    (variable i moves to perm[i]), built a variable at a time over all
+    permutations at once; None without permutations. Raises unless every
+    permutation fixes the generating set."""
     if not perms:
+        return None
+    count = len(offsets)
+    for perm in perms:
+        if sorted(perm) != list(range(count)):
+            raise ValueError("symmetry is not a permutation of the variables")
+    low = (1 << width) - 1
+    moved = [[offsets[perm[i]] for perm in perms] for i in range(count)]
+    zeros = [0] * len(perms)
+
+    def images(x: int):
+        out = zeros
+        for at, to in zip(offsets, moved):
+            e = (x >> at) & low
+            if e:
+                out = map(operator.or_, out, map(operator.lshift, itertools.repeat(e), to))
+        return out
+
+    fixed = set(gens)
+    for g in fixed:
+        if not fixed.issuperset(images(g)):
+            raise ValueError("symmetry does not fix the generating set")
+    return images
+
+
+def _orbit_jobs(lattice, images) -> list[tuple[int, int]]:
+    """Collapse the lattice into (representative, orbit size) jobs."""
+    if images is None:
         return [(x, 1) for x in lattice]
     seen: set = set()
     jobs = []
     for x in lattice:
         if x in seen:
             continue
-        orbit = {apply(p, x) for p in perms}
+        orbit = set(images(x))
         orbit.add(x)
         jobs.append((x, len(orbit)))
         seen |= orbit
     return jobs
 
 
-def _hochster_chunk(delta_facets, jobs, p: int) -> dict:
-    field = FieldSpec(p)
-    out: dict[tuple[int, int], int] = {}
-    for sigma, weight in jobs:
-        size = bin(sigma).count("1")
-        restricted = {f & sigma for f in delta_facets}
-        for d, v in betti_of_face_masks(faces_by_dim_masks(restricted), field).items():
-            if not v:
-                continue
-            i = size - d - 2
-            if i >= 0:
-                key = (i, size)
-                out[key] = out.get(key, 0) + v * weight
-    return out
+# A sweep plan is the field-independent part of a table: one job
+# (facet masks, degree, orbit size) per orbit of the lattice. Only the facets
+# are kept; the faces are enumerated again per field, so a plan stays small.
+# The last plan built is kept, so that the second field of a cross-checked
+# report reuses it.
+_PLAN_MEMO: dict[tuple, list] = {}
 
 
-def _koszul_chunk(gen_vectors, jobs, p: int) -> dict:
+def _hochster_plan(ideal: MonomialIdeal, symmetries) -> list:
+    count = ideal.ambient.count
+    full = (1 << count) - 1
+    delta_facets = {full & ~_mask_of_indices(p) for p in ideal.minimal_primes()}
+    gens = [g.support_mask() for g in ideal.gens]
+    images = _symmetry_images(gens, symmetries, 1, list(range(count)))
+    jobs = []
+    for sigma, weight in _orbit_jobs(_union_closure(gens), images):
+        restricted = tuple(sorted({f & sigma for f in delta_facets}))
+        jobs.append((restricted, bin(sigma).count("1"), weight))
+    return jobs
+
+
+def _koszul_plan(ideal: MonomialIdeal, symmetries) -> list:
+    count = ideal.ambient.count
+    vectors = [g.exponents for g in ideal.gens]
+    width = _field_width(vectors)
+    offsets = _vector_offsets(width, count)
+    ones = sum(1 << at for at in offsets)
+    guards = ones << (width - 1)
+    gens = [_pack(v, width) for v in vectors]
+    images = _symmetry_images(gens, symmetries, width, offsets)
+    # the guard bits of the nonzero fields of b - g -> the mask of those variables
+    masks: dict[int, int] = {}
+    jobs = []
+    for b, weight in _orbit_jobs(_join_closure(gens, width, count), images):
+        bg = b | guards
+        facets = []
+        # the upper Koszul complex at b has a facet {i : b_i > g_i} for each g | b
+        divisors = [g for g in gens if (bg - g) & guards == guards]
+        for nonzero in {(((b - g) | guards) - ones) & guards for g in divisors}:
+            mask = masks.get(nonzero)
+            if mask is None:
+                mask = masks[nonzero] = sum(
+                    1 << i for i, at in enumerate(offsets) if (nonzero >> (at + width - 1)) & 1
+                )
+            facets.append(mask)
+        jobs.append((tuple(sorted(facets)), sum(_unpack(b, width, count)), weight))
+    return jobs
+
+
+def _sweep_plan(route: str, ideal: MonomialIdeal, symmetries) -> list:
+    key = (
+        route,
+        ideal.ambient.labels,
+        tuple(g.exponents for g in ideal.gens),
+        tuple(map(tuple, symmetries or ())),
+    )
+    jobs = _PLAN_MEMO.get(key)
+    if jobs is None:
+        build = _hochster_plan if route == "hochster" else _koszul_plan
+        jobs = build(ideal, symmetries)
+        _PLAN_MEMO.clear()
+        _PLAN_MEMO[key] = jobs
+    return jobs
+
+
+def _sweep_chunk(route: str, jobs, p: int) -> dict:
+    """Weighted sum of the plan jobs' reduced Betti numbers over GF(p), placed
+    in the table: H~_d of the restriction to sigma counts in homological
+    degree |sigma| - d - 2 (Hochster's formula), H~_d of the upper Koszul
+    complex at b in homological degree d + 1."""
     field = FieldSpec(p)
     out: dict[tuple[int, int], int] = {}
-    for b, weight in jobs:
-        facets = set()
-        for g in gen_vectors:
-            if all(ge <= be for ge, be in zip(g, b)):
-                mask = 0
-                for idx, (ge, be) in enumerate(zip(g, b)):
-                    if be > ge:
-                        mask |= 1 << idx
-                facets.add(mask)
-        if not facets:
-            continue
-        deg = sum(b)
+    for facets, degree, weight in jobs:
         for d, v in betti_of_face_masks(faces_by_dim_masks(facets), field).items():
-            if v:
-                key = (d + 1, deg)
+            i = degree - d - 2 if route == "hochster" else d + 1
+            if v and i >= 0:
+                key = (i, degree)
                 out[key] = out.get(key, 0) + v * weight
     return out
+
+
+# the names the two routes look the worker up under, so that either can be
+# replaced on its own
+_hochster_chunk = _koszul_chunk = _sweep_chunk
 
 
 def _map_chunks(worker, static, jobs, p: int, threads: int) -> dict:
@@ -258,24 +344,7 @@ def betti_table_hochster(
     complex, swept over the union closure of the generator supports."""
     if not ideal.is_squarefree:
         raise ValueError("the restriction sweep requires a squarefree ideal")
-    if ideal.is_zero or ideal.is_unit:
-        raise ValueError("need a nonzero proper ideal")
-    key = _cache_key(ideal, field, "hochster")
-    if key in _TABLE_CACHE:
-        return _TABLE_CACHE[key]
-    full = (1 << ideal.ambient.count) - 1
-    delta_facets = tuple(
-        full & ~_mask_of_indices(p) for p in ideal.minimal_primes()
-    )
-    gen_masks = [g.support_mask() for g in ideal.gens]
-    if symmetries:
-        _check_symmetries(set(gen_masks), symmetries, _apply_perm_mask)
-    lattice = _union_closure(gen_masks)
-    jobs = _orbit_jobs(lattice, symmetries, _apply_perm_mask)
-    entries = _map_chunks(_hochster_chunk, delta_facets, jobs, field.characteristic, threads)
-    table = BettiTable("ideal", ideal.ambient.count, field, entries)
-    _TABLE_CACHE[key] = table
-    return table
+    return _planned_table("hochster", ideal, field, symmetries, threads)
 
 
 def betti_table_koszul(
@@ -286,17 +355,18 @@ def betti_table_koszul(
 ) -> BettiTable:
     """Betti table of any monomial ideal via upper Koszul subcomplexes over the
     lcm lattice of the generators."""
+    return _planned_table("koszul", ideal, field, symmetries, threads)
+
+
+def _planned_table(route: str, ideal: MonomialIdeal, field: FieldSpec, symmetries, threads: int):
     if ideal.is_zero or ideal.is_unit:
         raise ValueError("need a nonzero proper ideal")
-    key = _cache_key(ideal, field, "koszul")
+    key = _cache_key(ideal, field, route)
     if key in _TABLE_CACHE:
         return _TABLE_CACHE[key]
-    gen_vectors = tuple(g.exponents for g in ideal.gens)
-    if symmetries:
-        _check_symmetries(set(gen_vectors), symmetries, _apply_perm_vec)
-    lattice = _join_closure(gen_vectors)
-    jobs = _orbit_jobs(lattice, symmetries, _apply_perm_vec)
-    entries = _map_chunks(_koszul_chunk, gen_vectors, jobs, field.characteristic, threads)
+    jobs = _sweep_plan(route, ideal, symmetries)
+    worker = _hochster_chunk if route == "hochster" else _koszul_chunk
+    entries = _map_chunks(worker, route, jobs, field.characteristic, threads)
     table = BettiTable("ideal", ideal.ambient.count, field, entries)
     _TABLE_CACHE[key] = table
     return table

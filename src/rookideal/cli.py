@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .betti import betti_table_hochster, betti_table_koszul, invariant_report
@@ -50,6 +51,20 @@ def _checked_board(args, power=False) -> Board:
     if power and not (1 <= args.power <= 4):
         raise UsageError(f"need 1 <= power <= 4, got {args.power}")
     return Board(args.m, args.n)
+
+
+def _thread_count(text: str) -> int:
+    """--threads: a worker process count between 1 and the CPU count."""
+    cpus = os.cpu_count() or 1
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if not 1 <= value <= cpus:
+        raise argparse.ArgumentTypeError(
+            f"need 1 <= threads <= {cpus} (the CPU count), got {value}"
+        )
+    return value
 
 
 def _field(args) -> FieldSpec:
@@ -200,13 +215,13 @@ def build_parser() -> _Parser:
     p.add_argument("--char", type=int, default=DEFAULT_FIELD.characteristic)
     p.add_argument("--ambient", type=int, default=None)
     p.add_argument("--allow-long", action="store_true")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_thread_count, default=1)
     p.set_defaults(func=cmd_invariants)
 
     p = sub.add_parser("betti", help="Betti table of an ideal file ('-' for stdin)")
     p.add_argument("file")
     p.add_argument("--char", type=int, default=DEFAULT_FIELD.characteristic)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_thread_count, default=1)
     p.set_defaults(func=cmd_betti)
 
     p = sub.add_parser("matching", help="induced-matching regularity lower bound")
@@ -216,7 +231,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="run a reproduction suite")
     p.add_argument("--suite", choices=("paper", "properties", "long"), default="paper")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_thread_count, default=1)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -13,14 +13,33 @@ from dataclasses import dataclass
 from weakref import WeakKeyDictionary
 
 
+# Miller-Rabin with the first thirteen primes as bases has no strong
+# pseudoprime below this bound (Sorenson and Webster, Math. Comp. 2017), so
+# the test is exact for every modulus FieldSpec accepts.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_BOUND = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -31,6 +50,11 @@ class FieldSpec:
     characteristic: int
 
     def __post_init__(self):
+        if self.characteristic >= PRIME_TEST_BOUND:
+            raise ValueError(
+                f"characteristic {self.characteristic} is not below {PRIME_TEST_BOUND}, "
+                "the bound up to which primality is checked exactly"
+            )
         if not _is_prime(self.characteristic):
             raise ValueError(f"{self.characteristic} is not prime")
 

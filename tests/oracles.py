@@ -3,7 +3,7 @@
 Everything here deliberately avoids the library's production code paths:
 covers come from full subset enumeration, Betti numbers of two-generator
 ideals from the short Taylor resolution, powers from naive product
-expansion, and so on.
+expansion, lcm lattices from pairwise joins of plain tuples, and so on.
 """
 
 import itertools
@@ -108,3 +108,14 @@ def full_subset_hochster(ideal, field):
                     key = (i, size)
                     entries[key] = entries.get(key, 0) + value
     return entries
+
+
+def tuple_join_closure(vectors):
+    """The lcm lattice of exponent tuples: join every pair of points with a
+    coordinatewise max until nothing new appears; sorted."""
+    lattice = set(vectors)
+    while True:
+        fresh = {tuple(map(max, a, b)) for a in lattice for b in lattice} - lattice
+        if not fresh:
+            return sorted(lattice)
+        lattice |= fresh

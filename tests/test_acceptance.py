@@ -3,8 +3,8 @@
 All values are exact integers, computed at characteristic 32003 with a GF(2)
 cross-run; a field disagreement fails the criterion with a torsion diagnostic.
 One summary line prints per criterion (run with -s to see them on success).
-The minutes-scale depth-drop cases carry the 'long' marker and are deselected
-by default.
+The 2x4 depth drop at t=3 carries the 'long' marker and is deselected by
+default.
 """
 
 import pytest
@@ -53,9 +53,15 @@ def test_criterion_3_single_row_powers(paper_cases):
 
 
 def test_criterion_4_two_row_powers(paper_cases):
-    cases = _select(paper_cases, "power-2x")
+    cases = [case for case in _select(paper_cases, "power-2x") if case.id != "power-2x3-t4"]
     assert len(cases) == 8
     _check("4 two-row powers (regular range)", cases)
+
+
+def test_criterion_4_depth_drop_2x3(paper_cases):
+    cases = _select(paper_cases, "power-2x3-t4")
+    assert len(cases) == 1
+    _check("4 two-row depth drop (2x3, t=4)", cases)
 
 
 def test_criterion_5_three_row_boards(paper_cases):
@@ -95,8 +101,8 @@ def test_criterion_11_property_suite():
 @pytest.mark.long
 def test_criterion_4_long_depth_drop():
     cases = [c for c in long_suite() if c.id.startswith("power-")]
-    assert len(cases) == 2
-    _check("4-long two-row depth drop", cases)
+    assert len(cases) == 1
+    _check("4-long two-row depth drop (2x4, t=3)", cases)
 
 
 def test_criterion_10_four_by_four(paper_cases):

@@ -208,6 +208,74 @@ class TestInvariantReport:
         assert (report.height, report.dim, report.bight) == (3, 3, 4)
 
 
+class TestSweepPlan:
+    @pytest.fixture
+    def plan_counts(self, monkeypatch):
+        from rookideal import betti
+
+        betti.clear_table_cache()
+        counts = {"hochster": 0, "koszul": 0}
+        for route in counts:
+            build = getattr(betti, f"_{route}_plan")
+
+            def counted(*args, route=route, build=build):
+                counts[route] += 1
+                return build(*args)
+
+            monkeypatch.setattr(betti, f"_{route}_plan", counted)
+        yield counts
+        betti.clear_table_cache()
+
+    def test_cross_checked_report_builds_one_plan_per_route(self, plan_counts):
+        board = Board(2, 3)
+        perms = board_symmetries(board)
+        report = invariant_report(facet_ideal(board) ** 2, symmetries=perms, cross_check=True)
+        assert not report.torsion_warning
+        assert plan_counts == {"hochster": 0, "koszul": 1}
+        invariant_report(facet_ideal(board), symmetries=perms, cross_check=True)
+        assert plan_counts == {"hochster": 1, "koszul": 1}
+
+    def test_dual_char_reg_builds_one_plan(self, plan_counts):
+        from rookideal.verify import _dual_char_reg
+
+        assert _dual_char_reg(fixture_ideal("L_six")) == (3, True)
+        assert sum(plan_counts.values()) == 1
+
+    def test_other_symmetries_get_a_fresh_plan_and_check(self, plan_counts):
+        board = Board(2, 3)
+        ideal = facet_ideal(board) ** 2
+        betti_table_koszul(ideal, DEFAULT_FIELD, symmetries=board_symmetries(board))
+        swap = (1, 0) + tuple(range(2, 6))  # x11 <-> x12 alone moves x11*x22 off the ideal
+        for _ in range(2):
+            with pytest.raises(ValueError, match="does not fix"):
+                betti_table_koszul(ideal, GF2, symmetries=[swap])
+        with pytest.raises(ValueError, match="not a permutation"):
+            betti_table_koszul(ideal, GF2, symmetries=[(0,) * 6])
+        assert plan_counts["koszul"] == 4
+
+    def test_clear_table_cache_drops_the_plan(self, plan_counts):
+        from rookideal import betti
+
+        ideal = facet_ideal(Board(2, 3)) ** 2
+        betti_table_koszul(ideal)
+        assert len(betti._PLAN_MEMO) == 1
+        betti.clear_table_cache()
+        assert not betti._PLAN_MEMO and not betti._TABLE_CACHE
+        betti_table_koszul(ideal, GF2)
+        assert plan_counts["koszul"] == 2
+
+    def test_threads_match_serial_on_the_lattice_route(self):
+        from rookideal.betti import clear_table_cache
+
+        board = Board(2, 3)
+        ideal = facet_ideal(board) ** 3
+        clear_table_cache()
+        serial = betti_table_koszul(ideal, symmetries=board_symmetries(board))
+        clear_table_cache()
+        threaded = betti_table_koszul(ideal, symmetries=board_symmetries(board), threads=2)
+        assert serial.entries == threaded.entries and serial.quotient().reg() == 6
+
+
 class TestHilbert:
     def test_edge_series(self):
         series = hilbert_series(EDGE)

@@ -1,8 +1,9 @@
 import json
+import os
 
 import pytest
 
-from rookideal import Board, facet_ideal, ideal_from_text
+from rookideal import Board, betti, facet_ideal, ideal_from_text
 from rookideal.cli import main
 
 
@@ -110,12 +111,32 @@ class TestInvariantsCommand:
         code, _, err = run_cli(capsys, "invariants", "--m", "2", "--n", "2", "--char", "6")
         assert code == 1
 
+    def test_char_beyond_exact_prime_test_rejected(self, capsys):
+        code, out, err = run_cli(
+            capsys, "invariants", "--m", "2", "--n", "2", "--char", str(10**25 + 13)
+        )
+        assert code == 1 and out == ""
+        assert "3317044064679887385961981" in err and len(err.splitlines()) == 1
+
     def test_ambient_below_support_is_a_clean_error(self, capsys):
         code, out, err = run_cli(
             capsys, "invariants", "--m", "2", "--n", "2", "--ambient", "1"
         )
         assert code == 1 and out == ""
         assert err == "error: declared ambient is smaller than the support\n"
+
+    @pytest.mark.parametrize("command", [
+        ["invariants", "--m", "2", "--n", "3"], ["betti", "-"], ["verify"],
+    ])
+    @pytest.mark.parametrize("threads", ["0", str((os.cpu_count() or 1) + 1), "-1", "two"])
+    def test_thread_count_out_of_range_rejected(self, capsys, monkeypatch, command, threads):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(betti, "ProcessPoolExecutor", no_pool)
+        code, out, err = run_cli(capsys, *command, "--threads", threads)
+        assert code == 1 and out == ""
+        assert "error: argument --threads" in err and len(err.splitlines()) == 1
 
     def test_threads_flag_gives_same_numbers(self, capsys):
         _, one, _ = run_cli(capsys, "invariants", "--m", "2", "--n", "3", "--threads", "1")

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,35 @@ def test_field_requires_prime():
     with pytest.raises(ValueError):
         FieldSpec(6)
     assert FieldSpec(2) == GF2
+
+
+def test_large_prime_accepted_quickly():
+    # trial division took about ten minutes on this modulus
+    start = time.perf_counter()
+    assert FieldSpec(10**19 + 51).characteristic == 10**19 + 51
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("n", [561, 3215031751, 3825123056546413051, 318665857834031151167461])
+def test_strong_pseudoprimes_rejected(n):
+    # a Carmichael number, and strong pseudoprimes to bases 2..7, 2..23, 2..37
+    with pytest.raises(ValueError, match="not prime"):
+        FieldSpec(n)
+
+
+def test_primality_matches_trial_division_below_ten_thousand():
+    def by_division(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert all(homology._is_prime(n) == by_division(n) for n in range(-2, 10000))
+
+
+def test_modulus_beyond_exact_test_bound_rejected():
+    with pytest.raises(ValueError, match=str(homology.PRIME_TEST_BOUND)):
+        FieldSpec(10**25 + 13)
+    # the first strong pseudoprime to every base up to 41 is the bound itself
+    with pytest.raises(ValueError, match="not below"):
+        FieldSpec(homology.PRIME_TEST_BOUND)
 
 
 def test_sparse_matrix_validation():

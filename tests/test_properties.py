@@ -3,6 +3,8 @@
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+import oracles
+from rookideal import betti
 from rookideal import (
     GF2,
     DEFAULT_FIELD,
@@ -116,6 +118,33 @@ def test_permuted_construction_matches(ideal, perm):
             exps[perm[i]] = e
         raw.append(Monomial(ideal.ambient, tuple(exps)))
     assert min_gens(raw, ideal.ambient) == ideal.permuted(perm)
+
+
+@st.composite
+def exponent_vectors(draw):
+    """1 to 6 vectors on 1 to 5 variables whose largest entry sits on either
+    side of a step of the packed field width."""
+    top = draw(st.sampled_from([1, 2, 3, 4, 7, 8, 15, 16]))
+    count = draw(st.integers(1, 5))
+    vectors = draw(
+        st.lists(
+            st.lists(st.integers(0, top), min_size=count, max_size=count).map(tuple),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    k, i = draw(st.integers(0, len(vectors) - 1)), draw(st.integers(0, count - 1))
+    vectors[k] = vectors[k][:i] + (top,) + vectors[k][i + 1:]
+    return vectors
+
+
+@settings(max_examples=150, deadline=None)
+@given(exponent_vectors())
+def test_packed_join_closure_matches_tuple_closure(vectors):
+    count = len(vectors[0])
+    width = betti._field_width(vectors)
+    packed = betti._join_closure([betti._pack(v, width) for v in vectors], width, count)
+    assert [betti._unpack(x, width, count) for x in packed] == oracles.tuple_join_closure(vectors)
 
 
 @settings(max_examples=40, deadline=None)
