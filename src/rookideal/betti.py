@@ -14,14 +14,19 @@ the generator set); orbits then share one homology computation.
 A table is a sweep plan evaluated at a prime. The plan is the part that does
 not depend on the field: the symmetry check, the lattice closure (exponent
 vectors packed into one int each, joined by a SWAR max), the orbit collapse
-and each orbit's facet set, degree and size. The last plan built is kept, so
-a report cross-checked at 32003 and GF(2) builds it once; clear_table_cache()
-drops it with the cached tables. Plan jobs can be fanned out over processes;
-the reduction is a plain sum, so the result is schedule independent.
+and each orbit's complex, degree and size. Each complex is kept as its strong
+core: dominated vertices (another vertex lies in every facet through them)
+are deleted one at a time, which keeps the homotopy type and so the reduced
+homology over every field, and a job whose core is a point is dropped. The
+last plan built is kept, so a report cross-checked at 32003 and GF(2) builds
+it once; clear_table_cache() drops it with the cached tables and the kept
+minimal primes. Plan jobs can be fanned out over processes; the reduction is
+a plain sum, so the result is schedule independent.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import time
@@ -30,15 +35,17 @@ from dataclasses import dataclass, field as dc_field
 
 from .complexes import sr_complex_of_ideal
 from .homology import DEFAULT_FIELD, GF2, FieldSpec, betti_of_face_masks, faces_by_dim_masks
-from .monomials import MonomialIdeal, min_gens
+from .monomials import _PRIMES_MEMO, MonomialIdeal, min_gens
 
 _TABLE_CACHE: dict[tuple, "BettiTable"] = {}
 
 
 def clear_table_cache():
-    """Forget every cached table and the kept sweep plan."""
+    """Forget every cached table, the kept sweep plan and the kept minimal
+    primes."""
     _TABLE_CACHE.clear()
     _PLAN_MEMO.clear()
+    _PRIMES_MEMO.clear()
 
 
 class BettiTable:
@@ -226,11 +233,45 @@ def _orbit_jobs(lattice, images) -> list[tuple[int, int]]:
     return jobs
 
 
+def _strong_core(facets) -> tuple[int, ...] | None:
+    """The facet masks of the strong core of the complex the masks generate,
+    or None when that core is a point. A vertex v is dominated when another
+    vertex lies in every facet through v; deleting v from every facet is a
+    strong collapse, which keeps the homotopy type (Barmak and Minian 2012),
+    so reduced homology over every field is unchanged. Dominated vertices are
+    deleted one at a time until none is left. A point is contractible, so all
+    its reduced Betti numbers are 0; the irrelevant complex (0,) has no vertex
+    and is its own core."""
+    core: list[int] = []
+    for f in sorted(set(facets), key=int.bit_count, reverse=True):
+        if not any(f & g == f for g in core):
+            core.append(f)
+    vertices = functools.reduce(operator.or_, core, 0)
+    deleted = True
+    while deleted:
+        deleted = False
+        rest = vertices
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            through = [f for f in core if f & bit]
+            if functools.reduce(operator.and_, through) != bit:
+                # v leaves every facet; a shrunk facet can only fall inside
+                # a facet that did not hold v
+                kept = [f for f in core if not f & bit]
+                core = kept + [f ^ bit for f in through if not any(f ^ bit | g == g for g in kept)]
+                vertices ^= bit
+                deleted = True
+    if len(core) == 1 and core[0]:
+        return None
+    return tuple(sorted(core))
+
+
 # A sweep plan is the field-independent part of a table: one job
-# (facet masks, degree, orbit size) per orbit of the lattice. Only the facets
-# are kept; the faces are enumerated again per field, so a plan stays small.
-# The last plan built is kept, so that the second field of a cross-checked
-# report reuses it.
+# (core facet masks, degree, orbit size) per orbit of the lattice whose
+# strong core is not a point. Only the facets are kept; the faces are
+# enumerated again per field, so a plan stays small. The last plan built is
+# kept, so that the second field of a cross-checked report reuses it.
 _PLAN_MEMO: dict[tuple, list] = {}
 
 
@@ -242,8 +283,9 @@ def _hochster_plan(ideal: MonomialIdeal, symmetries) -> list:
     images = _symmetry_images(gens, symmetries, 1, list(range(count)))
     jobs = []
     for sigma, weight in _orbit_jobs(_union_closure(gens), images):
-        restricted = tuple(sorted({f & sigma for f in delta_facets}))
-        jobs.append((restricted, bin(sigma).count("1"), weight))
+        core = _strong_core({f & sigma for f in delta_facets})
+        if core is not None:
+            jobs.append((core, sigma.bit_count(), weight))
     return jobs
 
 
@@ -271,7 +313,9 @@ def _koszul_plan(ideal: MonomialIdeal, symmetries) -> list:
                     1 << i for i, at in enumerate(offsets) if (nonzero >> (at + width - 1)) & 1
                 )
             facets.append(mask)
-        jobs.append((tuple(sorted(facets)), sum(_unpack(b, width, count)), weight))
+        core = _strong_core(facets)
+        if core is not None:
+            jobs.append((core, sum(_unpack(b, width, count)), weight))
     return jobs
 
 
@@ -361,7 +405,7 @@ def betti_table_koszul(
 def _planned_table(route: str, ideal: MonomialIdeal, field: FieldSpec, symmetries, threads: int):
     if ideal.is_zero or ideal.is_unit:
         raise ValueError("need a nonzero proper ideal")
-    key = _cache_key(ideal, field, route)
+    key = _cache_key(ideal, field, route, symmetries)
     if key in _TABLE_CACHE:
         return _TABLE_CACHE[key]
     jobs = _sweep_plan(route, ideal, symmetries)
@@ -388,12 +432,15 @@ def betti_table(
     raise ValueError(f"unknown route {route!r}")
 
 
-def _cache_key(ideal: MonomialIdeal, field: FieldSpec, route: str):
+def _cache_key(ideal: MonomialIdeal, field: FieldSpec, route: str, symmetries):
+    # the symmetry list is part of the key: a table cached without it would
+    # skip the check that every symmetry fixes the generating set
     return (
         ideal.ambient.labels,
         tuple(g.exponents for g in ideal.gens),
         field.characteristic,
         route,
+        tuple(map(tuple, symmetries or ())),
     )
 
 

@@ -203,7 +203,7 @@ def induced_matching_bound(
                 union |= masks[idx]
             if not ok:
                 continue
-            value = bin(union).count("1") - k
+            value = union.bit_count() - k
             if value <= best:
                 continue
             chosen = {masks[idx] for idx in combo}

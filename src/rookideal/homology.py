@@ -3,8 +3,11 @@
 Boundary matrices use the augmented chain complex, so the empty face is a row
 of the 0-th boundary map and the irrelevant complex has one unit of homology
 in dimension -1. Every rank, over every prime, comes from one sparse column
-reduction with exact Python integers; the Betti sweep walks the dimensions top
-down and skips the columns already known to reduce to zero (clearing).
+reduction with exact Python integers. The Betti sweep walks the dimensions top
+down: the pivot rows of the d+1 map are d-faces whose columns in the d map
+reduce to zero (clearing), so only the other d-faces are built as columns.
+The Betti sweeps hand in complexes already shrunk to their strong cores (see
+rookideal.betti), so the faces enumerated here are those of the cores.
 """
 
 from __future__ import annotations
@@ -81,15 +84,12 @@ class SparseMatrix:
             seen.add((r, c))
 
 
-def _reduce_columns(columns: list[dict[int, int]], p: int, skip=frozenset()) -> set[int]:
+def _reduce_columns(columns: list[dict[int, int]], p: int) -> set[int]:
     """Reduce sparse columns {row: value mod p} in place, left to right, each
     on its pivot (largest nonzero row), with exact integers; the pivot rows
-    found are returned, so their count is the rank. Columns whose index is in
-    ``skip`` are known to reduce to zero and are not touched."""
+    found are returned, so their count is the rank."""
     pivots: dict[int, dict[int, int]] = {}
-    for j, col in enumerate(columns):
-        if j in skip:
-            continue
+    for col in columns:
         while col:
             low = max(col)
             other = pivots.get(low)
@@ -125,13 +125,14 @@ def rank(matrix: SparseMatrix, field: FieldSpec) -> int:
 _FACE_CACHE: "WeakKeyDictionary" = WeakKeyDictionary()
 
 
-def _submasks(mask: int):
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
+def _submasks(mask: int) -> list[int]:
+    # every subset, doubled one vertex at a time
+    subs = [0]
+    while mask:
+        low = mask & -mask
+        subs += [s | low for s in subs]
+        mask ^= low
+    return subs
 
 
 def faces_by_dim_masks(facet_masks) -> dict[int, list[int]]:
@@ -141,10 +142,8 @@ def faces_by_dim_masks(facet_masks) -> dict[int, list[int]]:
     for f in facet_masks:
         faces.update(_submasks(f))
     out: dict[int, list[int]] = {}
-    for m in faces:
-        out.setdefault(bin(m).count("1") - 1, []).append(m)
-    for lst in out.values():
-        lst.sort()
+    for m in sorted(faces):
+        out.setdefault(m.bit_count() - 1, []).append(m)
     return out
 
 
@@ -202,14 +201,14 @@ def boundary_matrix(cx, d: int, field: FieldSpec) -> SparseMatrix:
 
 
 def _boundary_ranks(by_dim: dict[int, list[int]], field: FieldSpec) -> dict[int, int]:
-    # top down, so that the pivot rows of the d+1 map (columns of the d map
-    # that reduce to zero) can be cleared before the d map is reduced
+    # top down: the pivot rows of the d+1 map are d-faces whose columns in the
+    # d map reduce to zero (clearing), so only the other d-faces get a column
     p = field.characteristic
     ranks: dict[int, int] = {}
     cleared: set[int] = set()
     for d in range(max(by_dim), -1, -1):
-        columns = _boundary_columns(by_dim.get(d - 1, []), by_dim.get(d, []), p)
-        cleared = _reduce_columns(columns, p, cleared)
+        kept = [m for j, m in enumerate(by_dim.get(d, [])) if j not in cleared]
+        cleared = _reduce_columns(_boundary_columns(by_dim.get(d - 1, []), kept, p), p)
         ranks[d] = len(cleared)
     return ranks
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from rookideal import (
@@ -274,6 +276,139 @@ class TestSweepPlan:
         clear_table_cache()
         threaded = betti_table_koszul(ideal, symmetries=board_symmetries(board), threads=2)
         assert serial.entries == threaded.entries and serial.quotient().reg() == 6
+
+    def test_cached_table_still_checks_symmetries(self):
+        from rookideal.betti import clear_table_cache
+
+        ideal = facet_ideal(Board(2, 3)) ** 2
+        clear_table_cache()
+        betti_table_koszul(ideal)
+        with pytest.raises(ValueError, match="does not fix"):
+            betti_table_koszul(ideal, symmetries=[(1, 0, 2, 3, 4, 5)])
+        clear_table_cache()
+
+    def test_squarefree_report_runs_one_cover_search(self, monkeypatch):
+        from rookideal import betti, complexes, monomials
+
+        calls = []
+        real = complexes.minimal_vertex_covers
+
+        def counted(cx):
+            calls.append(cx)
+            return real(cx)
+
+        monkeypatch.setattr(complexes, "minimal_vertex_covers", counted)
+        board = Board(3, 3)
+        betti.clear_table_cache()
+        # the plan, the radical's primes and the Hilbert series share one search
+        report = invariant_report(facet_ideal(board), symmetries=board_symmetries(board), cross_check=True)
+        assert (report.height, report.a_invariant) == (3, 0)
+        assert len(calls) == 1
+        betti.clear_table_cache()
+        assert not monomials._PRIMES_MEMO
+        invariant_report(facet_ideal(board), symmetries=board_symmetries(board))
+        assert len(calls) == 2
+        betti.clear_table_cache()
+
+
+def _random_squarefree_ideals(count: int, nvars: int, seed: int):
+    rng = random.Random(seed)
+    ambient = VariableSet.generic(nvars)
+    out = []
+    for _ in range(count):
+        gens = [
+            Monomial.from_support(ambient, rng.sample(range(nvars), rng.randint(2, 4)))
+            for _ in range(rng.randint(3, 6))
+        ]
+        out.append(min_gens(gens, ambient))
+    return out
+
+
+class TestStrongCore:
+    """Plan jobs hold the strong core of their complex (dominated vertices
+    deleted until none is left), and jobs whose core is a point are dropped."""
+
+    @staticmethod
+    def reduced(facets, field):
+        from rookideal.homology import betti_of_face_masks, faces_by_dim_masks
+
+        if facets is None:  # a dropped job: a point, all reduced Betti numbers 0
+            return {}
+        found = betti_of_face_masks(faces_by_dim_masks(facets), field)
+        return {d: v for d, v in found.items() if v}
+
+    def test_irrelevant_complex_is_kept(self):
+        from rookideal.betti import _strong_core
+
+        assert _strong_core((0,)) == (0,)
+        assert _strong_core([0, 0]) == (0,)
+        for field in (DEFAULT_FIELD, GF2):
+            assert self.reduced((0,), field) == {-1: 1}
+
+    @pytest.mark.parametrize(
+        "facets",
+        [
+            (0b1,),  # a single vertex
+            (0b111,),  # a simplex
+            (0b111, 0b011, 0b100),  # a simplex listed with some of its faces
+            (0b1011, 0b1110, 0b1101),  # the cone over a hollow triangle, apex 3
+            (0b00111, 0b01100, 0b11000),  # a path of a triangle and two edges
+        ],
+    )
+    def test_contractible_cores_are_dropped(self, facets):
+        from rookideal.betti import _strong_core
+
+        assert _strong_core(facets) is None
+        for field in (DEFAULT_FIELD, GF2):
+            assert self.reduced(facets, field) == {}
+
+    @pytest.mark.parametrize(
+        "facets",
+        [
+            (0b0111, 0b1011, 0b1101, 0b1110),  # the boundary of the 3-simplex
+            (0b011, 0b101, 0b110),  # the hollow triangle
+            (0b0011, 0b1100),  # two disjoint edges collapse to two points
+        ],
+    )
+    def test_cores_keep_homology(self, facets):
+        from rookideal.betti import _strong_core
+
+        core = _strong_core(facets)
+        for field in (DEFAULT_FIELD, GF2):
+            assert self.reduced(core, field) == self.reduced(facets, field)
+        assert _strong_core(core) == core
+
+    def test_simplex_boundary_has_no_dominated_vertex(self):
+        from rookideal.betti import _strong_core
+
+        boundary = (0b0111, 0b1011, 0b1101, 0b1110)
+        assert _strong_core(boundary) == boundary
+        points = _strong_core((0b11, 0b1100))
+        assert len(points) == 2 and all(m.bit_count() == 1 for m in points)
+
+    def test_plans_match_uncollapsed_plans(self, monkeypatch):
+        from rookideal import betti
+
+        ideals = [facet_ideal(Board(2, 3)) ** 2, facet_ideal(Board(2, 3))]
+        ideals += _random_squarefree_ideals(6, 7, seed=4)
+        shrunk = 0
+        for ideal in ideals:
+            routes = [betti_table_koszul] + ([betti_table_hochster] if ideal.is_squarefree else [])
+            for route in routes:
+                for field in (DEFAULT_FIELD, GF2):
+                    betti.clear_table_cache()
+                    cored = route(ideal, field)
+                    cored_jobs = next(iter(betti._PLAN_MEMO.values()))
+                    with monkeypatch.context() as patched:
+                        patched.setattr(betti, "_strong_core", lambda facets: tuple(sorted(set(facets))))
+                        betti.clear_table_cache()
+                        full = route(ideal, field)
+                        full_jobs = next(iter(betti._PLAN_MEMO.values()))
+                    assert cored.entries == full.entries
+                    assert len(cored_jobs) <= len(full_jobs)
+                    shrunk += len(cored_jobs) < len(full_jobs)
+        betti.clear_table_cache()
+        assert shrunk  # the core did drop jobs, so the comparison means something
 
 
 class TestHilbert:

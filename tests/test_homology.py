@@ -189,12 +189,38 @@ class TestReducedBetti:
         cx = SimplicialComplex.full_simplex(V4)
         assert not any(reduced_betti(cx, GF2).values())
 
+    def test_cleared_faces_get_no_column(self, monkeypatch):
+        # a d-face that is a pivot row of the d+1 map reduces to zero in the
+        # d map, so only f_d - rank(d+1 map) of the d-faces become columns
+        facets = [
+            [0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 5], [0, 1, 5],
+            [1, 2, 4], [1, 3, 4], [1, 3, 5], [2, 3, 5], [2, 4, 5],
+        ]
+        for field in (DEFAULT_FIELD, GF2):
+            cx = SimplicialComplex.from_facets(VariableSet.generic(6), facets)
+            ranks = {d: rank(boundary_matrix(cx, d, field), field) for d in range(4)}
+            built: dict[int, int] = {}
+            real = homology._boundary_columns
+
+            def counted(rows, cols, p):
+                for m in cols:
+                    d = m.bit_count() - 1
+                    built[d] = built.get(d, 0) + 1
+                return real(rows, cols, p)
+
+            monkeypatch.setattr(homology, "_boundary_columns", counted)
+            reduced_betti(cx, field)
+            monkeypatch.undo()
+            expected = {d: len(faces_of_dim(cx, d)) - ranks[d + 1] for d in range(3)}
+            assert built == {d: n for d, n in expected.items() if n}
+            assert ranks[3] == 0 and ranks[2] > 0
+
     def test_rank_beyond_face_count_raises(self, monkeypatch):
         # one pivot too many on every map makes some Betti number negative
         real = homology._reduce_columns
 
-        def one_too_many(columns, p, skip=frozenset()):
-            return real(columns, p, skip) | {-1}
+        def one_too_many(columns, p):
+            return real(columns, p) | {-1}
 
         monkeypatch.setattr(homology, "_reduce_columns", one_too_many)
         for field in (DEFAULT_FIELD, GF2):

@@ -223,6 +223,23 @@ def test_cleared_ranks_match_plain_ranks_everywhere(cx):
         assert reduced_betti(cx, field) == expected
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 255), min_size=1, max_size=8))
+def test_strong_core_keeps_reduced_homology(facets):
+    # facet masks on at most 8 vertices; the core must have the same reduced
+    # Betti numbers over both fields (a dropped job: all zero), and no vertex
+    # of the core may be dominated, so collapsing it again changes nothing
+    from rookideal.homology import betti_of_face_masks, faces_by_dim_masks
+
+    core = betti._strong_core(facets)
+    for field in (DEFAULT_FIELD, GF2):
+        full = betti_of_face_masks(faces_by_dim_masks(facets), field)
+        cored = {} if core is None else betti_of_face_masks(faces_by_dim_masks(core), field)
+        assert {d: v for d, v in cored.items() if v} == {d: v for d, v in full.items() if v}
+    if core is not None:
+        assert betti._strong_core(core) == core
+
+
 @given(complexes(max_vars=5, max_facets=4))
 def test_sr_round_trip(cx):
     if cx.is_void:
