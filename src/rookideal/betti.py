@@ -12,16 +12,21 @@ Both sweeps accept an optional symmetry group (variable permutations fixing
 the generator set); orbits then share one homology computation.
 
 A table is a sweep plan evaluated at a prime. The plan is the part that does
-not depend on the field: the symmetry check, the lattice closure (exponent
-vectors packed into one int each, joined by a SWAR max), the orbit collapse
-and each orbit's complex, degree and size. Each complex is kept as its strong
-core: dominated vertices (another vertex lies in every facet through them)
-are deleted one at a time, which keeps the homotopy type and so the reduced
-homology over every field, and a job whose core is a point is dropped. The
-last plan built is kept, so a report cross-checked at 32003 and GF(2) builds
-it once; clear_table_cache() drops it with the cached tables and the kept
-minimal primes. Plan jobs can be fanned out over processes; the reduction is
-a plain sum, so the result is schedule independent.
+not depend on the field: the symmetry check, the lattice points (exponent
+vectors packed into one int each, joined by a SWAR max), one job per orbit
+and each orbit's complex, degree and size. Without symmetries the lattice is
+closed a generator at a time and every point is a job. With symmetries the
+lattice is never closed or sorted: the sweep starts from the generators'
+orbits and joins each new orbit representative with every generator, and a
+permutation is applied to a point through per-chunk image tables (the images
+of every 4-bit chunk value under every permutation, built once). Each complex
+is kept as its strong core: dominated vertices (another vertex lies in every
+facet through them) are deleted one at a time, which keeps the homotopy type
+and so the reduced homology over every field, and a job whose core is a point
+is dropped. The last plan built is kept, so a report cross-checked at 32003
+and GF(2) builds it once; clear_table_cache() drops it with the cached tables
+and the kept minimal primes. Plan jobs can be fanned out over processes; the
+reduction is a plain sum, so the result is schedule independent.
 """
 
 from __future__ import annotations
@@ -133,21 +138,12 @@ class BettiTable:
 # lattices, symmetry orbits, sweep plans and the sweep worker
 
 
-def _union_closure(masks) -> list[int]:
-    """The closure of the support masks under union, sorted. Adding one
-    generator g to the closure L of the ones before it adds {b | g : b in L}."""
-    lattice: set[int] = set()
-    for g in sorted(set(masks)):
-        lattice |= {b | g for b in lattice}
-        lattice.add(g)
-    return sorted(lattice)
-
-
 # Both lattices hold packed points: one int per point, variable i in a field
 # of w bits. A squarefree support is a bitmask (w = 1, variable i at bit i).
 # An exponent vector has the first variable in the most significant field, so
 # that integer order is tuple order, and w = (largest exponent).bit_length()
 # + 1: the top bit of every field is a guard bit, clear in a packed vector.
+# A join function joins(g, points) returns the set {g v b : b in points}.
 
 
 def _field_width(vectors) -> int:
@@ -170,44 +166,78 @@ def _unpack(packed: int, width: int, count: int) -> tuple[int, ...]:
     return tuple((packed >> at) & low for at in _vector_offsets(width, count))
 
 
-def _join_closure(gens: list[int], width: int, count: int) -> list[int]:
-    """The lcm lattice of packed exponent vectors: their closure under
-    coordinatewise max, sorted, built a generator at a time as the union
-    closure is. The join is a SWAR max: b - g with every guard bit of b set
-    keeps a guard bit exactly where b >= g, and d - (d >> (w-1)) widens those
-    guards into masks of the fields that b wins."""
+def _unions(g: int, points) -> set[int]:
+    return {g | b for b in points}
+
+
+def _swar_joins(width: int, count: int):
+    """The join of packed exponent vectors, a SWAR max: b - g with every
+    guard bit of b set keeps a guard bit exactly where b >= g, and
+    d - (d >> (w-1)) widens those guards into masks of the fields that b wins."""
     guards = sum(1 << (at + width - 1) for at in _vector_offsets(width, count))
     shift = width - 1
+
+    def joins(g: int, points) -> set[int]:
+        return {
+            g ^ ((b ^ g) & ((d := ((b | guards) - g) & guards) - (d >> shift))) for b in points
+        }
+
+    return joins
+
+
+def _closure(gens, joins) -> list[int]:
+    """The closure of the generators under the join, sorted. Adding one
+    generator g to the closure L of the ones before it adds {g v b : b in L}."""
     lattice: set[int] = set()
     for g in sorted(set(gens)):
-        lattice |= {
-            g ^ ((b ^ g) & ((d := ((b | guards) - g) & guards) - (d >> shift))) for b in lattice
-        }
+        lattice |= joins(g, lattice)
         lattice.add(g)
     return sorted(lattice)
 
 
+def _join_closure(gens: list[int], width: int, count: int) -> list[int]:
+    """The lcm lattice of packed exponent vectors: their closure under
+    coordinatewise max, sorted."""
+    return _closure(gens, _swar_joins(width, count))
+
+
 def _symmetry_images(gens: list[int], perms, width: int, offsets: list[int]):
     """images(x): the images of the packed point x under every permutation
-    (variable i moves to perm[i]), built a variable at a time over all
-    permutations at once; None without permutations. Raises unless every
-    permutation fixes the generating set."""
+    (variable i moves to perm[i]); None without permutations. Raises unless
+    every permutation fixes the generating set.
+
+    A permutation moves whole fields, so it moves bit j of variable i's field
+    to bit j of field perm[i]: it is a permutation of bits, and the image of
+    x is the OR of the images of its 4-bit chunks. For each chunk position
+    and each chunk value, the images under every permutation are built once;
+    images(x) ORs one prebuilt list per nonzero chunk of x. When the point's
+    width is not a multiple of 4, the top chunk is shorter and has fewer
+    values, but it is still there."""
     if not perms:
         return None
     count = len(offsets)
     for perm in perms:
         if sorted(perm) != list(range(count)):
             raise ValueError("symmetry is not a permutation of the variables")
-    low = (1 << width) - 1
-    moved = [[offsets[perm[i]] for perm in perms] for i in range(count)]
+    moved = [None] * (width * count)  # bit -> its images under every permutation
+    for i, at in enumerate(offsets):
+        for j in range(width):
+            moved[at + j] = [1 << (offsets[perm[i]] + j) for perm in perms]
     zeros = [0] * len(perms)
+    tables = []
+    for low in range(0, len(moved), 4):
+        table = [zeros]
+        for value in range(1, 1 << min(4, len(moved) - low)):
+            bit = low + (value & -value).bit_length() - 1
+            table.append(list(map(operator.or_, table[value & (value - 1)], moved[bit])))
+        tables.append(table)
 
     def images(x: int):
         out = zeros
-        for at, to in zip(offsets, moved):
-            e = (x >> at) & low
-            if e:
-                out = map(operator.or_, out, map(operator.lshift, itertools.repeat(e), to))
+        for table in tables:
+            if x & 15:
+                out = table[x & 15] if out is zeros else map(operator.or_, out, table[x & 15])
+            x >>= 4
         return out
 
     fixed = set(gens)
@@ -217,19 +247,34 @@ def _symmetry_images(gens: list[int], perms, width: int, offsets: list[int]):
     return images
 
 
-def _orbit_jobs(lattice, images) -> list[tuple[int, int]]:
-    """Collapse the lattice into (representative, orbit size) jobs."""
+def _orbit_jobs(gens, joins, images) -> list[tuple[int, int]]:
+    """The closure of the generators under the join as (representative,
+    orbit size) jobs, sorted; a representative is the least point of its
+    orbit. Without symmetries every point of the closure is its own job.
+
+    With symmetries the closure is never built: the sweep starts from the
+    generators' orbits and joins each new representative r with every
+    generator; a point not yet seen starts a new orbit. This reaches every
+    orbit: the closure is made of joins x v g with x in it, and if
+    x = pi(r) then x v g = pi(r v pi^-1(g)), where pi^-1(g) is again a
+    generator."""
     if images is None:
-        return [(x, 1) for x in lattice]
-    seen: set = set()
+        return [(x, 1) for x in _closure(gens, joins)]
+    gens = set(gens)
+    seen: set[int] = set()
     jobs = []
-    for x in lattice:
+    pending = list(gens)
+    while pending:
+        x = pending.pop()
         if x in seen:
             continue
         orbit = set(images(x))
         orbit.add(x)
-        jobs.append((x, len(orbit)))
         seen |= orbit
+        rep = min(orbit)
+        jobs.append((rep, len(orbit)))
+        pending.extend(joins(rep, gens) - seen)
+    jobs.sort()
     return jobs
 
 
@@ -282,7 +327,7 @@ def _hochster_plan(ideal: MonomialIdeal, symmetries) -> list:
     gens = [g.support_mask() for g in ideal.gens]
     images = _symmetry_images(gens, symmetries, 1, list(range(count)))
     jobs = []
-    for sigma, weight in _orbit_jobs(_union_closure(gens), images):
+    for sigma, weight in _orbit_jobs(gens, _unions, images):
         core = _strong_core({f & sigma for f in delta_facets})
         if core is not None:
             jobs.append((core, sigma.bit_count(), weight))
@@ -301,7 +346,7 @@ def _koszul_plan(ideal: MonomialIdeal, symmetries) -> list:
     # the guard bits of the nonzero fields of b - g -> the mask of those variables
     masks: dict[int, int] = {}
     jobs = []
-    for b, weight in _orbit_jobs(_join_closure(gens, width, count), images):
+    for b, weight in _orbit_jobs(gens, _swar_joins(width, count), images):
         bg = b | guards
         facets = []
         # the upper Koszul complex at b has a facet {i : b_i > g_i} for each g | b

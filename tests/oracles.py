@@ -119,3 +119,13 @@ def tuple_join_closure(vectors):
         if not fresh:
             return sorted(lattice)
         lattice |= fresh
+
+
+def permute_packed(point, perm, width, offsets):
+    """One permutation applied to one packed point, field by field: the w-bit
+    field of variable i sits at bit offsets[i] and moves to offsets[perm[i]]."""
+    out = 0
+    for i, at in enumerate(offsets):
+        value = (point >> at) % (1 << width)
+        out += value * (1 << offsets[perm[i]])
+    return out

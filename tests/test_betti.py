@@ -311,6 +311,99 @@ class TestSweepPlan:
         betti.clear_table_cache()
 
 
+def _board_cases(board, t, seed):
+    """The board ideal power with its symmetry group, and a copy relabelled
+    by a seeded permutation sigma with the group conjugated to match: the
+    permutation pi becomes sigma pi sigma^-1."""
+    ideal = facet_ideal(board) ** t
+    perms = board_symmetries(board)
+    count = ideal.ambient.count
+    sigma = list(range(count))
+    random.Random(seed).shuffle(sigma)
+    inverse = [sigma.index(k) for k in range(count)]
+    conjugated = [tuple(sigma[perm[inverse[k]]] for k in range(count)) for perm in perms]
+    return [(ideal, perms), (ideal.permuted(sigma), conjugated)]
+
+
+class TestOrbitSweep:
+    """With symmetries the plan joins orbit representatives with the
+    generators instead of closing the whole lattice."""
+
+    @staticmethod
+    def lattices(ideal, perms):
+        """(generators, join, closure, images) for each lattice the ideal's
+        routes sweep: the union lattice of a squarefree ideal and the lcm
+        lattice of any."""
+        from rookideal import betti
+
+        count = ideal.ambient.count
+        out = []
+        if ideal.is_squarefree:
+            masks = [g.support_mask() for g in ideal.gens]
+            images = betti._symmetry_images(masks, perms, 1, list(range(count)))
+            out.append((masks, betti._unions, betti._closure(masks, betti._unions), images))
+        vectors = [g.exponents for g in ideal.gens]
+        width = betti._field_width(vectors)
+        gens = [betti._pack(v, width) for v in vectors]
+        images = betti._symmetry_images(gens, perms, width, betti._vector_offsets(width, count))
+        out.append((gens, betti._swar_joins(width, count), betti._join_closure(gens, width, count), images))
+        return out
+
+    @pytest.mark.parametrize("m, n, t", [(2, 3, 1), (2, 3, 2), (2, 3, 3), (2, 4, 1), (2, 4, 2), (3, 4, 1)])
+    def test_orbits_partition_the_closure(self, m, n, t):
+        from rookideal import betti
+
+        for ideal, perms in _board_cases(Board(m, n), t, seed=100 * m + 10 * n + t):
+            for gens, joins, closure, images in self.lattices(ideal, perms):
+                jobs = betti._orbit_jobs(gens, joins, images)
+                assert sum(weight for _, weight in jobs) == len(closure)
+                covered = set()
+                for rep, weight in jobs:
+                    orbit = set(images(rep)) | {rep}
+                    assert len(orbit) == weight and rep == min(orbit)
+                    assert covered.isdisjoint(orbit)  # no two representatives share an orbit
+                    covered |= orbit
+                assert covered == set(closure)
+
+    def test_duplicate_symmetries_give_the_same_jobs(self):
+        from rookideal import betti
+
+        board = Board(2, 4)
+        perms = board_symmetries(board)
+        repeated = perms + perms[::3] + perms[:1]
+        assert betti._hochster_plan(facet_ideal(board), repeated) == betti._hochster_plan(facet_ideal(board), perms)
+        ideal = facet_ideal(board) ** 2
+        assert betti._koszul_plan(ideal, repeated) == betti._koszul_plan(ideal, perms)
+        betti.clear_table_cache()
+
+    def test_board_group_plus_a_non_fixing_permutation_raises(self):
+        from rookideal.betti import clear_table_cache
+
+        board = Board(2, 3)
+        swap = (1, 0) + tuple(range(2, 6))  # x11 <-> x12 alone moves x11*x22 off the ideal
+        perms = board_symmetries(board) + [swap]
+        for route, ideal in ((betti_table_hochster, facet_ideal(board)), (betti_table_koszul, facet_ideal(board) ** 2)):
+            clear_table_cache()
+            with pytest.raises(ValueError, match="does not fix"):
+                route(ideal, symmetries=perms)
+        clear_table_cache()
+
+    @pytest.mark.parametrize("m, n, t", [(2, 3, 1), (2, 3, 3), (2, 4, 2), (3, 3, 1), (3, 4, 1)])
+    def test_tables_match_tables_without_symmetries(self, m, n, t):
+        from rookideal.betti import clear_table_cache
+
+        for ideal, perms in _board_cases(Board(m, n), t, seed=100 * m + 10 * n + t):
+            routes = [betti_table_koszul] + ([betti_table_hochster] if ideal.is_squarefree else [])
+            for route in routes:
+                for field in (DEFAULT_FIELD, GF2):
+                    clear_table_cache()
+                    orbits = route(ideal, field, symmetries=perms)
+                    clear_table_cache()
+                    plain = route(ideal, field)
+                    assert orbits.entries == plain.entries
+        clear_table_cache()
+
+
 def _random_squarefree_ideals(count: int, nvars: int, seed: int):
     rng = random.Random(seed)
     ambient = VariableSet.generic(nvars)

@@ -1,7 +1,7 @@
 """Structural invariants checked on randomized inputs."""
 
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import oracles
 from rookideal import betti
@@ -145,6 +145,34 @@ def test_packed_join_closure_matches_tuple_closure(vectors):
     width = betti._field_width(vectors)
     packed = betti._join_closure([betti._pack(v, width) for v in vectors], width, count)
     assert [betti._unpack(x, width, count) for x in packed] == oracles.tuple_join_closure(vectors)
+
+
+@st.composite
+def packed_points_and_perms(draw):
+    """Points of 1 to 7 fields of 1 to 5 bits (so the point's width is often
+    not a multiple of 4), laid out first field high (exponent vectors) or low
+    (support masks), with 1 to 6 permutations, repeats allowed."""
+    width = draw(st.integers(1, 5))
+    count = draw(st.integers(1, 7))
+    offsets = betti._vector_offsets(width, count)
+    if draw(st.booleans()):
+        offsets.reverse()
+    perms = draw(st.lists(st.permutations(range(count)).map(tuple), min_size=1, max_size=6))
+    top = (1 << (width * count)) - 1
+    points = draw(st.lists(st.integers(0, top), min_size=1, max_size=8)) + [top]
+    return width, offsets, perms, points
+
+
+@settings(max_examples=200, deadline=None)
+@given(packed_points_and_perms())
+@example((3, [12, 9, 6, 3, 0], [(4, 0, 1, 2, 3)], [1 << 14]))  # 15 bits: a 3-bit top chunk
+@example((1, [0, 1, 2, 3, 4, 5], [(5, 4, 3, 2, 1, 0)], [0b110000]))  # 6 bits: a 2-bit top chunk
+def test_image_tables_match_one_permutation_at_a_time(case):
+    width, offsets, perms, points = case
+    images = betti._symmetry_images([], perms, width, offsets)
+    for x in points:
+        expected = [oracles.permute_packed(x, perm, width, offsets) for perm in perms]
+        assert list(images(x)) == expected
 
 
 @settings(max_examples=40, deadline=None)
