@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Run the full reproduction catalog and write a JSON report.
 
-The quick suites (paper, properties) finish in seconds; --long adds the
-stretch case (the depth drop of the 2x4 board ideal at t=3).
+The quick suites (paper, properties) finish in seconds; --long adds the long
+suite, four-five: the 4x5 board ideal at 32003 with a GF(2) cross-run, whose
+reg and depth are frozen as computed values, not taken from the paper.
 """
 
 import argparse

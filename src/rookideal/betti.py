@@ -40,7 +40,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .complexes import sr_complex_of_ideal
 from .homology import DEFAULT_FIELD, GF2, FieldSpec, betti_of_face_masks, faces_by_dim_masks
-from .monomials import _PRIMES_MEMO, MonomialIdeal, min_gens
+from .monomials import _PRIMES_MEMO, MonomialIdeal, _mask_of, min_gens
 
 _TABLE_CACHE: dict[tuple, "BettiTable"] = {}
 
@@ -284,29 +284,25 @@ def _strong_core(facets) -> tuple[int, ...] | None:
     vertex lies in every facet through v; deleting v from every facet is a
     strong collapse, which keeps the homotopy type (Barmak and Minian 2012),
     so reduced homology over every field is unchanged. Dominated vertices are
-    deleted one at a time until none is left. A point is contractible, so all
-    its reduced Betti numbers are 0; the irrelevant complex (0,) has no vertex
-    and is its own core."""
+    deleted one at a time until none is left. Deleting v changes only facets
+    through v, so only the vertices that shared a facet with v are checked
+    again. A point is contractible, so all its reduced Betti numbers are 0;
+    the irrelevant complex (0,) has no vertex and is its own core."""
     core: list[int] = []
     for f in sorted(set(facets), key=int.bit_count, reverse=True):
         if not any(f & g == f for g in core):
             core.append(f)
-    vertices = functools.reduce(operator.or_, core, 0)
-    deleted = True
-    while deleted:
-        deleted = False
-        rest = vertices
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            through = [f for f in core if f & bit]
-            if functools.reduce(operator.and_, through) != bit:
-                # v leaves every facet; a shrunk facet can only fall inside
-                # a facet that did not hold v
-                kept = [f for f in core if not f & bit]
-                core = kept + [f ^ bit for f in through if not any(f ^ bit | g == g for g in kept)]
-                vertices ^= bit
-                deleted = True
+    todo = functools.reduce(operator.or_, core, 0)
+    while todo:
+        bit = todo & -todo
+        todo ^= bit
+        through = [f for f in core if f & bit]
+        if functools.reduce(operator.and_, through) != bit:
+            # v leaves every facet; a shrunk facet can only fall inside a
+            # facet that did not hold v
+            kept = [f for f in core if not f & bit]
+            core = kept + [f ^ bit for f in through if not any(f ^ bit | g == g for g in kept)]
+            todo |= functools.reduce(operator.or_, through) ^ bit
     if len(core) == 1 and core[0]:
         return None
     return tuple(sorted(core))
@@ -323,7 +319,7 @@ _PLAN_MEMO: dict[tuple, list] = {}
 def _hochster_plan(ideal: MonomialIdeal, symmetries) -> list:
     count = ideal.ambient.count
     full = (1 << count) - 1
-    delta_facets = {full & ~_mask_of_indices(p) for p in ideal.minimal_primes()}
+    delta_facets = {full & ~_mask_of(p) for p in ideal.minimal_primes()}
     gens = [g.support_mask() for g in ideal.gens]
     images = _symmetry_images(gens, symmetries, 1, list(range(count)))
     jobs = []
@@ -487,13 +483,6 @@ def _cache_key(ideal: MonomialIdeal, field: FieldSpec, route: str, symmetries):
         route,
         tuple(map(tuple, symmetries or ())),
     )
-
-
-def _mask_of_indices(indices) -> int:
-    mask = 0
-    for i in indices:
-        mask |= 1 << i
-    return mask
 
 
 # ---------------------------------------------------------------------------

@@ -13,21 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .monomials import Monomial, MonomialIdeal, VariableSet, min_gens
-
-
-def _mask_of(indices) -> int:
-    mask = 0
-    for i in indices:
-        mask |= 1 << i
-    return mask
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+from .monomials import Monomial, MonomialIdeal, VariableSet, _bits, _mask_of, min_gens
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,15 @@
 Boundary matrices use the augmented chain complex, so the empty face is a row
 of the 0-th boundary map and the irrelevant complex has one unit of homology
 in dimension -1. Every rank, over every prime, comes from one sparse column
-reduction with exact Python integers. The Betti sweep walks the dimensions top
-down: the pivot rows of the d+1 map are d-faces whose columns in the d map
-reduce to zero (clearing), so only the other d-faces are built as columns.
+reduction with exact Python integers, each column reduced on its largest row.
+Rows and columns are keyed by face mask. The Betti sweep walks the dimensions
+top down: the pivot rows of the d+1 map are d-faces whose columns in the d map
+reduce to zero (clearing, Chen and Kerber 2011), so they get no column. The
+largest row of the column of a d-face m is m ^ (m & -m), the face without the
+lowest vertex, with coefficient +1, so its pivot is known before the column is
+built: a face whose pivot row is still free is recorded by its mask alone (an
+apparent pair, as in Bauer's Ripser), and its column is built only if a later
+reduction needs it. Only columns whose pivot collides are built and reduced.
 The Betti sweeps hand in complexes already shrunk to their strong cores (see
 rookideal.betti), so the faces enumerated here are those of the cores.
 """
@@ -14,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from weakref import WeakKeyDictionary
+
+from .monomials import _bits
 
 
 # Miller-Rabin with the first thirteen primes as bases has no strong
@@ -84,29 +92,30 @@ class SparseMatrix:
             seen.add((r, c))
 
 
-def _reduce_columns(columns: list[dict[int, int]], p: int) -> set[int]:
-    """Reduce sparse columns {row: value mod p} in place, left to right, each
-    on its pivot (largest nonzero row), with exact integers; the pivot rows
-    found are returned, so their count is the rank."""
-    pivots: dict[int, dict[int, int]] = {}
-    for col in columns:
-        while col:
-            low = max(col)
-            other = pivots.get(low)
-            if other is None:
-                if col[low] != 1:
-                    inv = pow(col[low], -1, p)
-                    col = {r: v * inv % p for r, v in col.items()}
-                pivots[low] = col
-                break
-            f = col[low]
-            for r, v in other.items():
-                w = (col.get(r, 0) - f * v) % p
-                if w:
-                    col[r] = w
-                else:
-                    del col[r]
-    return set(pivots)
+def _reduce_column(col: dict[int, int], pivots: dict, p: int) -> None:
+    """Reduce the sparse column {row: value mod p} in place on its pivot (its
+    largest nonzero row) against ``pivots``, which maps each pivot row to its
+    column or, for a boundary column not built yet, to its face mask; such a
+    column is built the first time it is needed. A column that does not reduce
+    to zero is normalised to pivot value 1 and recorded as a new pivot."""
+    while col:
+        low = max(col)
+        other = pivots.get(low)
+        if other is None:
+            if col[low] != 1:
+                inv = pow(col[low], -1, p)
+                col = {r: v * inv % p for r, v in col.items()}
+            pivots[low] = col
+            return
+        if type(other) is int:
+            other = pivots[low] = _boundary_column(other, p)
+        f = col[low]
+        for r, v in other.items():
+            w = (col.get(r, 0) - f * v) % p
+            if w:
+                col[r] = w
+            else:
+                del col[r]
 
 
 def rank(matrix: SparseMatrix, field: FieldSpec) -> int:
@@ -116,7 +125,10 @@ def rank(matrix: SparseMatrix, field: FieldSpec) -> int:
     for r, c, v in matrix.entries:
         if v % p:
             columns[c][r] = v % p
-    return len(_reduce_columns(columns, p))
+    pivots: dict[int, dict[int, int]] = {}
+    for col in columns:
+        _reduce_column(col, pivots, p)
+    return len(pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -159,33 +171,21 @@ def faces_of_dim(cx, d: int) -> list[tuple[int, ...]]:
     """Ordered list of d-faces; d = -1 gives the empty face of a non-void complex."""
     if d < -1:
         raise ValueError("dimension must be at least -1")
-    masks = _complex_faces(cx).get(d, [])
-    out = []
-    for m in masks:
-        face = []
-        while m:
-            low = m & -m
-            face.append(low.bit_length() - 1)
-            m ^= low
-        out.append(tuple(face))
-    return out
+    return [tuple(_bits(m)) for m in _complex_faces(cx).get(d, [])]
 
 
-def _boundary_columns(rows: list[int], cols: list[int], p: int) -> list[dict[int, int]]:
-    """Each d-face mask in ``cols`` as a sparse column {row index: +-1 mod p}
-    over the (d-1)-face masks ``rows``; the sign is (-1)^position."""
-    row_index = {m: i for i, m in enumerate(rows)}
-    out = []
-    for m in cols:
-        col = {}
-        rest, sign = m, 1
-        while rest:
-            low = rest & -rest
-            col[row_index[m ^ low]] = sign % p
-            rest ^= low
-            sign = -sign
-        out.append(col)
-    return out
+def _boundary_column(m: int, p: int) -> dict[int, int]:
+    """The d-face mask m as a sparse column {(d-1)-face mask: +-1 mod p}; the
+    sign is (-1)^position, so the largest row, m without its lowest vertex,
+    has +1."""
+    col = {}
+    rest, sign = m, 1
+    while rest:
+        low = rest & -rest
+        col[m ^ low] = sign % p
+        rest ^= low
+        sign = -sign
+    return col
 
 
 def boundary_matrix(cx, d: int, field: FieldSpec) -> SparseMatrix:
@@ -194,22 +194,34 @@ def boundary_matrix(cx, d: int, field: FieldSpec) -> SparseMatrix:
     if d < 0:
         raise ValueError("boundary dimension must be at least 0")
     by_dim = _complex_faces(cx)
-    rows = by_dim.get(d - 1, [])
-    cols = _boundary_columns(rows, by_dim.get(d, []), field.characteristic)
-    entries = tuple((r, j, v) for j, col in enumerate(cols) for r, v in col.items())
+    rows, cols = by_dim.get(d - 1, []), by_dim.get(d, [])
+    row_index = {m: i for i, m in enumerate(rows)}
+    entries = tuple(
+        (row_index[r], j, v)
+        for j, m in enumerate(cols)
+        for r, v in _boundary_column(m, field.characteristic).items()
+    )
     return SparseMatrix(len(rows), len(cols), entries)
 
 
 def _boundary_ranks(by_dim: dict[int, list[int]], field: FieldSpec) -> dict[int, int]:
-    # top down: the pivot rows of the d+1 map are d-faces whose columns in the
-    # d map reduce to zero (clearing), so only the other d-faces get a column
+    # top down; a d-face that is a pivot row of the d+1 map is cleared, and a
+    # face whose largest row is free stays an unbuilt column (its mask)
     p = field.characteristic
     ranks: dict[int, int] = {}
-    cleared: set[int] = set()
+    above: dict = {}
     for d in range(max(by_dim), -1, -1):
-        kept = [m for j, m in enumerate(by_dim.get(d, [])) if j not in cleared]
-        cleared = _reduce_columns(_boundary_columns(by_dim.get(d - 1, []), kept, p), p)
-        ranks[d] = len(cleared)
+        pivots: dict = {}
+        for m in by_dim.get(d, []):
+            if m in above:
+                continue
+            low = m ^ (m & -m)
+            if low in pivots:
+                _reduce_column(_boundary_column(m, p), pivots, p)
+            else:
+                pivots[low] = m
+        ranks[d] = len(pivots)
+        above = pivots
     return ranks
 
 

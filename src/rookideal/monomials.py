@@ -11,6 +11,22 @@ import itertools
 from dataclasses import dataclass
 
 
+def _mask_of(indices) -> int:
+    """The bitmask with bit i set for each index i."""
+    mask = 0
+    for i in indices:
+        mask |= 1 << i
+    return mask
+
+
+def _bits(mask: int):
+    """The set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class AmbientMismatch(ValueError):
     """Two objects live over different variable sets."""
 
@@ -87,11 +103,7 @@ class Monomial:
         return frozenset(i for i, e in enumerate(self.exponents) if e)
 
     def support_mask(self) -> int:
-        mask = 0
-        for i, e in enumerate(self.exponents):
-            if e:
-                mask |= 1 << i
-        return mask
+        return _mask_of(i for i, e in enumerate(self.exponents) if e)
 
     def _check(self, other: "Monomial"):
         if self.ambient != other.ambient:

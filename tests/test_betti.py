@@ -479,6 +479,14 @@ class TestStrongCore:
         points = _strong_core((0b11, 0b1100))
         assert len(points) == 2 and all(m.bit_count() == 1 for m in points)
 
+    def test_vertex_dominated_after_a_later_deletion(self):
+        from rookideal.betti import _strong_core
+
+        # vertex 0 joins leaves 1 and 2 to the hollow triangle 3, 4, 5; it is
+        # dominated by 3 only once the higher vertices 1 and 2 are deleted
+        whiskered = (0b11, 0b101, 0b1001, 0b11000, 0b101000, 0b110000)
+        assert _strong_core(whiskered) == (0b11000, 0b101000, 0b110000)
+
     def test_plans_match_uncollapsed_plans(self, monkeypatch):
         from rookideal import betti
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from rookideal import homology
+from rookideal import betti, homology
 from rookideal import (
     GF2,
     DEFAULT_FIELD,
@@ -14,12 +14,15 @@ from rookideal import (
     SimplicialComplex,
     SparseMatrix,
     VariableSet,
+    board_symmetries,
     boundary_matrix,
     chessboard_complex,
     faces_of_dim,
+    facet_ideal,
     rank,
     reduced_betti,
 )
+from rookideal.monomials import _bits, _mask_of
 
 V3 = VariableSet.generic(3)
 V4 = VariableSet.generic(4)
@@ -190,42 +193,96 @@ class TestReducedBetti:
         assert not any(reduced_betti(cx, GF2).values())
 
     def test_cleared_faces_get_no_column(self, monkeypatch):
-        # a d-face that is a pivot row of the d+1 map reduces to zero in the
-        # d map, so only f_d - rank(d+1 map) of the d-faces become columns
+        # a d-face that is a pivot row of the d+1 map gets no column (clearing),
+        # and a face whose apparent pivot row is free gets one only if a later
+        # reduction needs it, so fewer than f_d - rank(d+1 map) are built
         facets = [
             [0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 5], [0, 1, 5],
             [1, 2, 4], [1, 3, 4], [1, 3, 5], [2, 3, 5], [2, 4, 5],
         ]
+        cx = SimplicialComplex.from_facets(VariableSet.generic(6), facets)
         for field in (DEFAULT_FIELD, GF2):
-            cx = SimplicialComplex.from_facets(VariableSet.generic(6), facets)
             ranks = {d: rank(boundary_matrix(cx, d, field), field) for d in range(4)}
-            built: dict[int, int] = {}
-            real = homology._boundary_columns
+            cleared = {d: pivot_rows(cx, d + 1, field) for d in range(3)}
+            built: list[int] = []
+            real = homology._boundary_column
 
-            def counted(rows, cols, p):
-                for m in cols:
-                    d = m.bit_count() - 1
-                    built[d] = built.get(d, 0) + 1
-                return real(rows, cols, p)
+            def counted(m, p):
+                built.append(m)
+                return real(m, p)
 
-            monkeypatch.setattr(homology, "_boundary_columns", counted)
+            monkeypatch.setattr(homology, "_boundary_column", counted)
             reduced_betti(cx, field)
             monkeypatch.undo()
-            expected = {d: len(faces_of_dim(cx, d)) - ranks[d + 1] for d in range(3)}
-            assert built == {d: n for d, n in expected.items() if n}
+            assert len(built) == len(set(built))
+            assert not set(built) & set().union(*cleared.values())
+            by_dim = {d: sum(1 for m in built if m.bit_count() == d + 1) for d in range(3)}
+            room = {d: len(faces_of_dim(cx, d)) - ranks[d + 1] for d in range(3)}
+            assert all(by_dim[d] <= room[d] for d in range(3))
+            assert sum(by_dim.values()) < sum(room.values())
+            assert by_dim[0] == 0
             assert ranks[3] == 0 and ranks[2] > 0
 
     def test_rank_beyond_face_count_raises(self, monkeypatch):
         # one pivot too many on every map makes some Betti number negative
-        real = homology._reduce_columns
+        real = homology._boundary_ranks
+        calls = []
 
-        def one_too_many(columns, p):
-            return real(columns, p) | {-1}
+        def one_too_many(by_dim, field):
+            calls.append(field)
+            return {d: r + 1 for d, r in real(by_dim, field).items()}
 
-        monkeypatch.setattr(homology, "_reduce_columns", one_too_many)
+        monkeypatch.setattr(homology, "_boundary_ranks", one_too_many)
         for field in (DEFAULT_FIELD, GF2):
             with pytest.raises(ArithmeticError):
                 reduced_betti(HOLLOW_TRIANGLE, field)
+        assert calls == [DEFAULT_FIELD, GF2]
+
+
+def pivot_rows(cx, d, field):
+    """The faces that are pivot rows of the reduced d-th boundary map, from
+    plain ranks: the rows from i down have rank equal to the number of pivots
+    among them, whatever column operations were made, so row i is a pivot
+    exactly when including it raises that rank."""
+    mx = boundary_matrix(cx, d, field)
+
+    def rank_from(i):
+        entries = tuple((r - i, c, v) for r, c, v in mx.entries if r >= i)
+        return rank(SparseMatrix(mx.rows - i, mx.cols, entries), field)
+
+    faces = faces_of_dim(cx, d - 1)
+    tail = [rank_from(i) for i in range(mx.rows + 1)]
+    return {_mask_of(faces[i]) for i in range(mx.rows) if tail[i] > tail[i + 1]}
+
+
+def test_plan_jobs_match_plain_ranks(monkeypatch):
+    # every job of both sweep plans of the 3x4 facet ideal: the lazy kernel
+    # against the ranks of the bare boundary maps; some reductions build a
+    # deferred pivot column
+    board = Board(3, 4)
+    ideal, perms = facet_ideal(board), board_symmetries(board)
+    real = homology._reduce_column
+    deferred = []
+
+    def watched(col, pivots, p):
+        deferred.append(type(pivots.get(max(col))) is int)
+        real(col, pivots, p)
+
+    monkeypatch.setattr(homology, "_reduce_column", watched)
+    vertices = VariableSet.generic(ideal.ambient.count)
+    for route in ("hochster", "koszul"):
+        for facets, _, _ in betti._sweep_plan(route, ideal, perms):
+            by_dim = homology.faces_by_dim_masks(facets)
+            cx = SimplicialComplex.from_facets(vertices, [tuple(_bits(f)) for f in facets])
+            for field in (DEFAULT_FIELD, GF2):
+                plain = {d: rank(boundary_matrix(cx, d, field), field) for d in by_dim if d >= 0}
+                expected = {
+                    d: len(by_dim[d]) - plain.get(d, 0) - plain.get(d + 1, 0)
+                    for d in range(-1, max(by_dim) + 1)
+                }
+                assert homology.betti_of_face_masks(by_dim, field) == expected
+    betti.clear_table_cache()
+    assert any(deferred)
 
 
 def test_import_needs_no_numpy():

@@ -8,6 +8,7 @@ from rookideal import betti
 from rookideal import (
     GF2,
     DEFAULT_FIELD,
+    FieldSpec,
     Monomial,
     SimplicialComplex,
     VariableSet,
@@ -242,7 +243,7 @@ def test_cleared_ranks_match_plain_ranks_everywhere(cx):
     if cx.is_void:
         return
     top = max(len(f) for f in cx.facets) - 1
-    for field in (DEFAULT_FIELD, GF2):
+    for field in (DEFAULT_FIELD, GF2, FieldSpec(3), FieldSpec(4294967311)):
         ranks = {d: rank(boundary_matrix(cx, d, field), field) for d in range(top + 1)}
         expected = {
             d: len(faces_of_dim(cx, d)) - ranks.get(d, 0) - ranks.get(d + 1, 0)

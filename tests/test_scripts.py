@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import subprocess
 import sys
@@ -30,3 +31,39 @@ def test_reproduce_results_writes_report(tmp_path):
     assert set(report["suites"]) == {"paper", "properties"}
     statuses = {c["status"] for cases in report["suites"].values() for c in cases}
     assert statuses <= {"pass", "skipped-long"}
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name.removesuffix(".py"), SCRIPTS / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_summary_on_synthetic_lines():
+    bench = load_script("bench_pairs.py")
+
+    def line(solve_s, rss, failed=0):
+        metrics = {"solve_s": {"value": solve_s, "unit": "s"}, "peak_rss_mb": {"value": rss, "unit": "MB"}}
+        return {"correct": not failed, "attempted": 10, "failed": failed, "metrics": metrics}
+
+    parent = [1.0, 1.2, 1.1, 1.3, 0.9]
+    change = [0.5, 0.7, 1.2, 0.6, 0.4]
+    pairs = [
+        {"seed": s, "parent": line(b, 40.0), "change": line(c, 40.0 + s, failed=int(s == 3))}
+        for s, (b, c) in enumerate(zip(parent, change), start=1)
+    ]
+    summary = bench.summarize(pairs)
+    solve = summary["solve_s"]
+    assert solve["parent"] == {"q1": 1.0, "median": 1.1, "q3": 1.2}
+    assert solve["change"] == {"q1": 0.5, "median": 0.6, "q3": 0.7}
+    assert solve["unit"] == "s" and solve["pairs"] == 5
+    assert abs(solve["ratio_of_medians"] - 0.6 / 1.1) < 1e-12
+    assert abs(solve["parent_quartile_distance"] - 0.2) < 1e-12
+    # seed 3: 1.2 against 1.1, the one pair the change lost
+    assert solve["change_lower_in_pairs"] == 4
+    rss = summary["peak_rss_mb"]
+    assert rss["change_lower_in_pairs"] == 0 and rss["ratio_of_medians"] == 43.0 / 40.0
+    assert summary["failed"] == {"parent": 0, "change": 1}
+    assert summary["attempted"] == {"parent": 50, "change": 50}
+    assert summary["all_correct"] is False
