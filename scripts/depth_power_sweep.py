@@ -12,13 +12,14 @@ import sys
 import time
 
 from rookideal import Board, board_symmetries, facet_ideal, invariant_report
+from rookideal.cli import _thread_count
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n-max", type=int, default=4)
     parser.add_argument("--t-max", type=int, default=4)
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=_thread_count, default=1, help="worker processes, 1..CPU count")
     args = parser.parse_args()
 
     print(f"{'board':>8} " + " ".join(f"{'t=' + str(t):>12}" for t in range(1, args.t_max + 1)))

@@ -11,13 +11,14 @@ import json
 import sys
 import time
 
+from rookideal.cli import _thread_count
 from rookideal.verify import run_suite
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--long", action="store_true", help="include the stretch cases")
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=_thread_count, default=1, help="worker processes, 1..CPU count")
     parser.add_argument("--out", default=None, help="write the JSON report here")
     args = parser.parse_args()
 
@@ -37,8 +38,7 @@ def main() -> int:
             for c in cases
         ]
         for c in cases:
-            mark = {"pass": "PASS", "fail": "FAIL", "skipped-long": "skip"}[c.status]
-            print(f"[{mark:>4}] {suite}/{c.id} ({c.seconds:.2f}s)")
+            print(f"[{c.status.upper()}] {suite}/{c.id} ({c.seconds:.2f}s)")
             if c.status == "fail":
                 report["failures"] += 1
                 print(f"       expected {c.expected} got {c.computed}")

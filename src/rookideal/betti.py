@@ -24,9 +24,13 @@ is kept as its strong core: dominated vertices (another vertex lies in every
 facet through them) are deleted one at a time, which keeps the homotopy type
 and so the reduced homology over every field, and a job whose core is a point
 is dropped. The last plan built is kept, so a report cross-checked at 32003
-and GF(2) builds it once; clear_table_cache() drops it with the cached tables
-and the kept minimal primes. Plan jobs can be fanned out over processes; the
-reduction is a plain sum, so the result is schedule independent.
+and GF(2) builds it once; clear_table_cache() drops it with the cached
+tables. The minimal primes (their complements are the facets of the
+squarefree route's complex; their sizes give a report's height, dim and
+bight) are not kept: each call finds them afresh by Berge's sequential
+transversal method. Plan jobs can be
+fanned out over processes; the reduction is a plain sum, so the result is
+schedule independent.
 """
 
 from __future__ import annotations
@@ -40,17 +44,15 @@ from dataclasses import dataclass, field as dc_field
 
 from .complexes import sr_complex_of_ideal
 from .homology import DEFAULT_FIELD, GF2, FieldSpec, betti_of_face_masks, faces_by_dim_masks
-from .monomials import _PRIMES_MEMO, MonomialIdeal, _mask_of, min_gens
+from .monomials import MonomialIdeal, _mask_of, min_gens
 
 _TABLE_CACHE: dict[tuple, "BettiTable"] = {}
 
 
 def clear_table_cache():
-    """Forget every cached table, the kept sweep plan and the kept minimal
-    primes."""
+    """Forget every cached table and the kept sweep plan."""
     _TABLE_CACHE.clear()
     _PLAN_MEMO.clear()
-    _PRIMES_MEMO.clear()
 
 
 class BettiTable:

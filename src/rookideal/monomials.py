@@ -164,11 +164,6 @@ def min_gens(monomials, ambient: VariableSet) -> "MonomialIdeal":
     return MonomialIdeal(ambient, tuple(kept))
 
 
-# the minimal primes of the last squarefree generating set asked for, keyed by
-# its exponent vectors; rookideal.betti.clear_table_cache() empties it
-_PRIMES_MEMO: dict[tuple, tuple[tuple[int, ...], ...]] = {}
-
-
 @dataclass(frozen=True)
 class MonomialIdeal:
     """Monomial ideal with a canonical minimal generating set.
@@ -268,21 +263,14 @@ class MonomialIdeal:
         )
 
     def minimal_primes(self) -> tuple[tuple[int, ...], ...]:
-        """Minimal primes as variable-index subsets (minimal vertex covers of
-        the complex generated by the generator supports). The last result is
-        kept, so the sweep plan, the radical and the Hilbert series of one
-        report share one cover search."""
+        """Minimal primes as variable-index subsets: the minimal vertex covers
+        of the complex generated by the generator supports, found by Berge's
+        sequential transversal method on every call."""
         self._require_squarefree_proper()
         from .complexes import SimplicialComplex, minimal_vertex_covers
 
-        key = tuple(g.exponents for g in self.gens)
-        primes = _PRIMES_MEMO.get(key)
-        if primes is None:
-            cx = SimplicialComplex.from_facets(self.ambient, [g.support() for g in self.gens])
-            primes = minimal_vertex_covers(cx)
-            _PRIMES_MEMO.clear()
-            _PRIMES_MEMO[key] = primes
-        return primes
+        cx = SimplicialComplex.from_facets(self.ambient, [g.support() for g in self.gens])
+        return minimal_vertex_covers(cx)
 
     def alexander_dual(self) -> "MonomialIdeal":
         """Squarefree dual generated by the variable products of the minimal primes."""

@@ -56,10 +56,6 @@ class VerifyCase:
     status: str
     seconds: float
 
-    @property
-    def ok(self) -> bool:
-        return self.status != "fail"
-
 
 def _case(case_id, description, rule, expected, computed, t0) -> VerifyCase:
     status = "pass" if expected == computed else "fail"

@@ -287,29 +287,6 @@ class TestSweepPlan:
             betti_table_koszul(ideal, symmetries=[(1, 0, 2, 3, 4, 5)])
         clear_table_cache()
 
-    def test_squarefree_report_runs_one_cover_search(self, monkeypatch):
-        from rookideal import betti, complexes, monomials
-
-        calls = []
-        real = complexes.minimal_vertex_covers
-
-        def counted(cx):
-            calls.append(cx)
-            return real(cx)
-
-        monkeypatch.setattr(complexes, "minimal_vertex_covers", counted)
-        board = Board(3, 3)
-        betti.clear_table_cache()
-        # the plan, the radical's primes and the Hilbert series share one search
-        report = invariant_report(facet_ideal(board), symmetries=board_symmetries(board), cross_check=True)
-        assert (report.height, report.a_invariant) == (3, 0)
-        assert len(calls) == 1
-        betti.clear_table_cache()
-        assert not monomials._PRIMES_MEMO
-        invariant_report(facet_ideal(board), symmetries=board_symmetries(board))
-        assert len(calls) == 2
-        betti.clear_table_cache()
-
 
 def _board_cases(board, t, seed):
     """The board ideal power with its symmetry group, and a copy relabelled

@@ -68,10 +68,12 @@ class TestPrimesCommand:
         assert max(sizes) == 4 and len(sizes) == 15
 
     def test_cover_search_guard_on_big_boards(self, capsys):
-        code, _, err = run_cli(capsys, "primes", "--m", "5", "--n", "5", "--method", "both")
+        code, _, err = run_cli(capsys, "primes", "--m", "6", "--n", "6", "--method", "both")
         assert code == 3 and "--allow-long" in err
-        code, out, _ = run_cli(capsys, "primes", "--m", "5", "--n", "5")
-        assert code == 0 and len(out.strip().splitlines()) == 210
+        code, out, _ = run_cli(capsys, "primes", "--m", "6", "--n", "6")
+        assert code == 0 and len(out.strip().splitlines()) == 792
+        code, out, _ = run_cli(capsys, "primes", "--m", "5", "--n", "5", "--method", "both")
+        assert code == 0 and out.splitlines()[0] == "methods agree: 210 minimal primes"
         code, _, _ = run_cli(capsys, "primes", "--m", "4", "--n", "4", "--method", "both")
         assert code == 0
 

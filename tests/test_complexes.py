@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from rookideal import (
@@ -11,6 +13,7 @@ from rookideal import (
     facet_ideal_of_complex,
     induced_matching_bound,
     min_gens,
+    minimal_primes_formula,
     minimal_vertex_covers,
     sr_complex_of_ideal,
     sr_ideal_of_complex,
@@ -133,8 +136,6 @@ class TestCovers:
         assert len(minimal_vertex_covers(cx)) == 4
 
     def test_three_by_three_count_matches_formula(self):
-        from rookideal import minimal_primes_formula
-
         cx = chessboard_complex(Board(3, 3))
         covers = minimal_vertex_covers(cx)
         assert len(covers) == 15
@@ -143,6 +144,17 @@ class TestCovers:
     def test_void_rejected(self):
         with pytest.raises(ValueError):
             minimal_vertex_covers(SimplicialComplex.from_facets(V3, []))
+
+    def test_relabelled_board_primes_match_formula(self):
+        for m in range(1, 5):
+            for n in range(m, 6):
+                board = Board(m, n)
+                sigma = list(range(m * n))
+                random.Random(10 * m + n).shuffle(sigma)
+                expected = {tuple(sorted(sigma[i] for i in p)) for p in minimal_primes_formula(board)}
+                primes = facet_ideal(board).permuted(sigma).minimal_primes()
+                assert len(primes) == len(expected)
+                assert set(primes) == expected, (m, n)
 
     def test_cover_complements_are_nonface_complex_facets(self):
         for m, n in [(2, 2), (2, 3), (3, 3)]:

@@ -5,6 +5,8 @@ from hypothesis import example, given, settings
 
 import oracles
 from rookideal import betti
+from rookideal.complexes import _minimal_transversals
+from rookideal.monomials import _mask_of
 from rookideal import (
     GF2,
     DEFAULT_FIELD,
@@ -20,6 +22,7 @@ from rookideal import (
     ideal_from_text,
     induced_matching_bound,
     min_gens,
+    minimal_vertex_covers,
     rank,
     reduced_betti,
     sr_complex_of_ideal,
@@ -281,3 +284,37 @@ def test_sr_round_trip(cx):
 def test_matching_bound_monotone(cx):
     values = [induced_matching_bound(cx, k)[0] for k in (1, 2, 3)]
     assert values == sorted(values)
+
+
+@st.composite
+def hypergraphs(draw, max_vertices=10, max_edges=8):
+    """(vertex count, nonempty edges) with duplicate, nested and single-vertex
+    edges mixed in on purpose."""
+    nverts = draw(st.integers(1, max_vertices))
+    edge = st.frozensets(st.integers(0, nverts - 1), min_size=1)
+    edges = draw(st.lists(edge, min_size=1, max_size=max_edges))
+    extras = []
+    for kind in draw(st.lists(st.sampled_from(["duplicate", "nested", "single"]), max_size=3)):
+        base = edges[draw(st.integers(0, len(edges) - 1))]
+        if kind == "duplicate":
+            extras.append(base)
+        elif kind == "nested":
+            extras.append(frozenset(draw(st.sets(st.sampled_from(sorted(base)), min_size=1))))
+        else:
+            extras.append(frozenset([draw(st.integers(0, nverts - 1))]))
+    mixed = (edges + extras)[:max_edges]
+    return nverts, draw(st.permutations(mixed))
+
+
+@settings(max_examples=300, deadline=None)
+@given(hypergraphs())
+@example((4, [frozenset({0, 1}), frozenset({0, 1}), frozenset({0}), frozenset({2, 3}), frozenset({3})]))
+@example((6, [frozenset({0, 1, 2}), frozenset({3, 4, 5}), frozenset({0, 3}), frozenset({1, 4}), frozenset({2, 5})]))
+def test_covers_match_subset_oracle(case):
+    nverts, edges = case
+    expected = oracles.brute_force_minimal_covers(edges, nverts)
+    raw = _minimal_transversals(tuple(_mask_of(e) for e in edges))
+    assert sorted(raw) == sorted(_mask_of(c) for c in expected)
+    # a complex keeps only its maximal faces, so its covers are those of its facets
+    cx = SimplicialComplex.from_facets(VariableSet.generic(nverts), edges)
+    assert list(minimal_vertex_covers(cx)) == oracles.brute_force_minimal_covers(cx.facets, nverts)
