@@ -2,20 +2,23 @@
 """Benchmark a git revision against the working tree in alternating pairs.
 
     python3 scripts/bench_pairs.py --base HEAD --workload squarefree-boards \
-        --seeds 10 --seconds 40 --out BENCH_name.json
+        --seeds 10 --first-seed 11 --seconds 40 --out BENCH_name.json
 
 The base revision is extracted with ``git archive`` and the working tree
 (tracked and untracked files, ignored ones left out) is copied, both into a
 temporary directory, so neither side runs with compiled bytecode or traces
-left over from earlier runs. For each workload and each seed 1..N,
-``perfbench/run.py --workload W --seed s --seconds S --trace T`` runs once on
-each side, one run at a time; odd seeds run the base first, even seeds the
-change first. The JSON report holds, per workload and --trace setting, every
-run's last line (perfbench's result object) and, per metric, the quartiles of
-each side, the ratio of the medians (change over base) and the number of
-pairs in which the change read lower. Entries for other workloads or --trace
-settings already in the --out file are kept, so one file can collect several
-invocations.
+left over from earlier runs. For each workload and each of the N seeds from
+--first-seed on (1 by default; seeds not used while a change was written
+check its claim), ``perfbench/run.py --workload W --seed s --seconds S
+--trace T`` runs once on each side, one run at a time; odd seeds run the base
+first, even seeds the change first. The JSON report holds, per workload,
+--trace setting and seed range, every run's last line (perfbench's result
+object) and, per metric, the quartiles of each side, the ratio of the medians
+(change over base), the number of pairs in which the change read lower, and
+whether a claim that the change lowers the metric meets the rule for a gain:
+lower in at least 9/10 of the pairs, and the median lower by more than the
+distance between the base's quartiles. Entries already in the --out file
+under other keys are kept, so one file can collect several invocations.
 """
 
 from __future__ import annotations
@@ -78,20 +81,24 @@ def quartiles(values) -> dict:
 def summarize(pairs: list[dict]) -> dict:
     """Per metric of the result lines in ``pairs`` (each {"seed", "parent",
     "change"}): each side's quartiles, the ratio of medians, how many pairs
-    the change read lower, and the distance between the base's quartiles."""
+    the change read lower, the distance between the base's quartiles, and
+    whether the change's reading lower meets the rule for claiming a gain."""
     names = [n for n in pairs[0]["parent"]["metrics"] if all(n in p[s]["metrics"] for p in pairs for s in SIDES)]
     out = {}
     for name in names:
         values = {s: [p[s]["metrics"][name]["value"] for p in pairs] for s in SIDES}
         sides = {s: quartiles(values[s]) for s in SIDES}
         base = sides["parent"]["median"]
+        lower = sum(c < b for b, c in zip(values["parent"], values["change"]))
+        spread = sides["parent"]["q3"] - sides["parent"]["q1"]
         out[name] = {
             **sides,
             "unit": pairs[0]["parent"]["metrics"][name]["unit"],
             "ratio_of_medians": sides["change"]["median"] / base if base else None,
-            "change_lower_in_pairs": sum(c < b for b, c in zip(values["parent"], values["change"])),
+            "change_lower_in_pairs": lower,
             "pairs": len(pairs),
-            "parent_quartile_distance": sides["parent"]["q3"] - sides["parent"]["q1"],
+            "parent_quartile_distance": spread,
+            "claim_rule_met": 10 * lower >= 9 * len(pairs) and base - sides["change"]["median"] > spread,
         }
     out["failed"] = {s: sum(p[s]["failed"] for p in pairs) for s in SIDES}
     out["attempted"] = {s: sum(p[s]["attempted"] for p in pairs) for s in SIDES}
@@ -103,7 +110,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--base", required=True, help="git revision to compare against")
     parser.add_argument("--workload", required=True, nargs="+")
-    parser.add_argument("--seeds", type=int, default=10, help="run seeds 1..N")
+    parser.add_argument("--seeds", type=int, default=10, help="run N seeds")
+    parser.add_argument("--first-seed", type=int, default=1, help="the first seed to run")
     parser.add_argument("--seconds", type=float, default=40.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--out", required=True, help="write the JSON report here")
@@ -122,16 +130,18 @@ def main(argv=None) -> int:
         copy_working_tree(checkouts["change"])
         for workload in args.workload:
             pairs = []
-            for seed in range(1, args.seeds + 1):
+            seeds = range(args.first_seed, args.first_seed + args.seeds)
+            for seed in seeds:
                 order = SIDES if seed % 2 else SIDES[::-1]
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
                     pair[side] = run_once(checkouts[side], workload, seed, args.seconds, args.trace)
                     print(f"{workload} seed {seed} {side}: {json.dumps(pair[side]['metrics'])}", flush=True)
                 pairs.append(pair)
-            report[f"{workload} --trace {args.trace}"] = {
+            seed_range = f"{seeds[0]}-{seeds[-1]}"
+            report[f"{workload} --trace {args.trace} seeds {seed_range}"] = {
                 "command": f"python3 perfbench/run.py --workload {workload} --seed N --seconds {args.seconds:g} "
-                           f"--trace {args.trace}, seeds 1-{args.seeds}, odd seeds parent first, "
+                           f"--trace {args.trace}, seeds {seed_range}, odd seeds parent first, "
                            "even seeds change first",
                 "summary": summarize(pairs),
                 "runs": pairs,

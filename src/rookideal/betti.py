@@ -9,7 +9,10 @@ Two independent routes produce the table of an ideal:
   at each lattice point.
 
 Both sweeps accept an optional symmetry group (variable permutations fixing
-the generator set); orbits then share one homology computation.
+the generator set, closed under composition; repeats are allowed); orbits
+then share one homology computation. A list that is not closed under
+composition raises ValueError: its image sets are not orbits, so their
+sizes would weigh the jobs wrongly.
 
 A table is a sweep plan evaluated at a prime. The plan is the part that does
 not depend on the field: the symmetry check, the lattice points (exponent
@@ -20,27 +23,32 @@ lattice is never closed or sorted: the sweep starts from the generators'
 orbits and joins each new orbit representative with every generator, and a
 permutation is applied to a point through per-chunk image tables (the images
 of every 4-bit chunk value under every permutation, built once). Each complex
-is kept as its strong core: dominated vertices (another vertex lies in every
+is cut to its strong core: dominated vertices (another vertex lies in every
 facet through them) are deleted one at a time, which keeps the homotopy type
 and so the reduced homology over every field, and a job whose core is a point
-is dropped. The last plan built is kept, so a report cross-checked at 32003
-and GF(2) builds it once; clear_table_cache() drops it with the cached
-tables. The minimal primes (their complements are the facets of the
-squarefree route's complex; their sizes give a report's height, dim and
-bight) are not kept: each call finds them afresh by Berge's sequential
-transversal method. Plan jobs can be
-fanned out over processes; the reduction is a plain sum, so the result is
-schedule independent.
+is dropped. A core that is a join of simplex boundaries is a sphere, with one
+copy of the field in a dimension its vertex and part counts give; the plan
+adds such jobs to the table in closed form, the same for every field. Every
+other core is kept once, with the (degree, orbit size) of each job that has
+it, and is reduced once per field. The last plan built is kept, so a report
+cross-checked at 32003 and GF(2) builds it once; clear_table_cache() drops it
+with the cached tables. The minimal primes (their complements are the facets
+of the squarefree route's complex; their sizes give a report's height, dim
+and bight) are not kept: each call finds them afresh by Berge's sequential
+transversal method. The distinct cores can be fanned out over processes; the
+reduction is a plain sum, so the result is schedule independent.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 from .complexes import sr_complex_of_ideal
 from .homology import DEFAULT_FIELD, GF2, FieldSpec, betti_of_face_masks, faces_by_dim_masks
@@ -203,10 +211,9 @@ def _join_closure(gens: list[int], width: int, count: int) -> list[int]:
     return _closure(gens, _swar_joins(width, count))
 
 
-def _symmetry_images(gens: list[int], perms, width: int, offsets: list[int]):
+def _image_tables(perms, width: int, offsets: list[int]):
     """images(x): the images of the packed point x under every permutation
-    (variable i moves to perm[i]); None without permutations. Raises unless
-    every permutation fixes the generating set.
+    (variable i moves to perm[i]), in the order of ``perms``.
 
     A permutation moves whole fields, so it moves bit j of variable i's field
     to bit j of field perm[i]: it is a permutation of bits, and the image of
@@ -215,13 +222,7 @@ def _symmetry_images(gens: list[int], perms, width: int, offsets: list[int]):
     images(x) ORs one prebuilt list per nonzero chunk of x. When the point's
     width is not a multiple of 4, the top chunk is shorter and has fewer
     values, but it is still there."""
-    if not perms:
-        return None
-    count = len(offsets)
-    for perm in perms:
-        if sorted(perm) != list(range(count)):
-            raise ValueError("symmetry is not a permutation of the variables")
-    moved = [None] * (width * count)  # bit -> its images under every permutation
+    moved = [None] * (width * len(offsets))  # bit -> its images under every permutation
     for i, at in enumerate(offsets):
         for j in range(width):
             moved[at + j] = [1 << (offsets[perm[i]] + j) for perm in perms]
@@ -242,11 +243,73 @@ def _symmetry_images(gens: list[int], perms, width: int, offsets: list[int]):
             x >>= 4
         return out
 
+    return images
+
+
+def _symmetry_images(gens: list[int], perms, width: int, offsets: list[int]):
+    """The image tables of ``perms`` (see _image_tables); None without
+    permutations. Raises ValueError unless every permutation is a permutation
+    of the variables that fixes the generating set, and then unless the
+    permutations are closed under composition: the sweep weighs each orbit
+    representative by the size of its image set, which counts the orbit only
+    when the permutations form a group."""
+    if not perms:
+        return None
+    count = len(offsets)
+    for perm in perms:
+        if sorted(perm) != list(range(count)):
+            raise ValueError("symmetry is not a permutation of the variables")
+    images = _image_tables(perms, width, offsets)
     fixed = set(gens)
     for g in fixed:
         if not fixed.issuperset(images(g)):
             raise ValueError("symmetry does not fix the generating set")
+    _require_group(perms)
     return images
+
+
+def _require_group(perms) -> None:
+    """Raise ValueError unless the permutations (repeats allowed) are closed
+    under composition. The group they generate is grown by Dimino's method:
+    a permutation not reached yet becomes a generator and adds the right
+    cosets of the group so far, found by multiplying each coset
+    representative by every generator, so growing the group takes
+    O(|group| * |generators|) compositions. The first product outside the
+    list raises."""
+    members = set(map(tuple, perms))
+    identity = tuple(range(len(next(iter(members)))))
+    if identity not in members:
+        raise ValueError("symmetries are not closed under composition: the identity is missing")
+    group = [identity]
+    reached = {identity}
+
+    def add_coset(subgroup, x):
+        # the right coset {h x : h in subgroup}, x first (h = identity);
+        # (h x)[i] = h[x[i]]
+        after_x = operator.itemgetter(*x)
+        for h in subgroup:
+            y = after_x(h)
+            if y not in members:
+                raise ValueError("symmetries are not closed under composition")
+            group.append(y)
+            reached.add(y)
+
+    gens = []  # itemgetters: times_t(r) = r t
+    for s in members:
+        if s in reached:
+            continue
+        gens.append(operator.itemgetter(*s))
+        subgroup = group[:]
+        add_coset(subgroup, s)
+        # the group so far is closed once every coset representative times
+        # every generator lands in a coset already added
+        rep = len(subgroup)
+        while rep < len(group):
+            for times_t in gens:
+                x = times_t(group[rep])
+                if x not in reached:
+                    add_coset(subgroup, x)
+            rep += len(subgroup)
 
 
 def _orbit_jobs(gens, joins, images) -> list[tuple[int, int]]:
@@ -286,53 +349,152 @@ def _strong_core(facets) -> tuple[int, ...] | None:
     vertex lies in every facet through v; deleting v from every facet is a
     strong collapse, which keeps the homotopy type (Barmak and Minian 2012),
     so reduced homology over every field is unchanged. Dominated vertices are
-    deleted one at a time until none is left. Deleting v changes only facets
+    deleted one at a time until none is left, or until one nonempty facet is
+    left: a simplex collapses to a point. Deleting v changes only facets
     through v, so only the vertices that shared a facet with v are checked
     again. A point is contractible, so all its reduced Betti numbers are 0;
     the irrelevant complex (0,) has no vertex and is its own core."""
     core: list[int] = []
     for f in sorted(set(facets), key=int.bit_count, reverse=True):
-        if not any(f & g == f for g in core):
+        for g in core:
+            if f & g == f:
+                break
+        else:
             core.append(f)
     todo = functools.reduce(operator.or_, core, 0)
-    while todo:
+    while todo and len(core) > 1:
         bit = todo & -todo
         todo ^= bit
-        through = [f for f in core if f & bit]
-        if functools.reduce(operator.and_, through) != bit:
-            # v leaves every facet; a shrunk facet can only fall inside a
-            # facet that did not hold v
+        common = -1  # the vertices of every facet through v
+        for f in core:
+            if f & bit:
+                common &= f
+                if common == bit:
+                    break
+        else:
+            # v is dominated and leaves every facet; a shrunk facet can only
+            # fall inside a facet that did not hold v
             kept = [f for f in core if not f & bit]
-            core = kept + [f ^ bit for f in through if not any(f ^ bit | g == g for g in kept)]
-            todo |= functools.reduce(operator.or_, through) ^ bit
+            shrunk = []
+            touched = 0
+            for f in core:
+                if f & bit:
+                    touched |= f
+                    f ^= bit
+                    for g in kept:
+                        if f | g == g:
+                            break
+                    else:
+                        shrunk.append(f)
+            core = kept + shrunk
+            todo |= touched ^ bit
     if len(core) == 1 and core[0]:
         return None
     return tuple(sorted(core))
 
 
-# A sweep plan is the field-independent part of a table: one job
-# (core facet masks, degree, orbit size) per orbit of the lattice whose
-# strong core is not a point. Only the facets are kept; the faces are
-# enumerated again per field, so a plan stays small. The last plan built is
-# kept, so that the second field of a cross-checked report reuses it.
-_PLAN_MEMO: dict[tuple, list] = {}
+def _sphere_dimension(facets) -> int | None:
+    """d when the complex the facet masks generate is a join of r simplex
+    boundaries on a vertex set V, d = |V| - r - 1; else None. Such a join is
+    a d-sphere (Bjoerner 1995), so its reduced homology is one copy of the
+    field in dimension d, over every field; r = 0 is the irrelevant complex
+    (0,) and r = 1 the boundary of one simplex.
+
+    The complements C = {V ^ f} of the facets of the join of the boundaries
+    of simplices on the parts of a partition of V are the transversals of
+    the partition: each takes one vertex from every part. Any c0 in C shows
+    the parts: the part of v in c0 is v with every u outside c0 for which
+    c0 ^ v | u is in C. The facets are those of a join exactly when these
+    parts cover V, each c in C meets each part once (so the parts are
+    disjoint), and |C| is the product of the part sizes."""
+    vertices = functools.reduce(operator.or_, facets)
+    complements = {vertices ^ f for f in facets}
+    c0 = min(complements)
+    outside = vertices ^ c0
+    parts = []
+    rest = c0
+    while rest:
+        v = rest & -rest
+        rest ^= v
+        part, base, others = v, c0 ^ v, outside
+        while others:
+            u = others & -others
+            others ^= u
+            if base | u in complements:
+                part |= u
+        parts.append(part)
+    if functools.reduce(operator.or_, parts, 0) != vertices:
+        return None
+    if math.prod(part.bit_count() for part in parts) != len(complements):
+        return None
+    for c in complements:
+        for part in parts:
+            if (c & part).bit_count() != 1:
+                return None
+    return vertices.bit_count() - len(parts) - 1
 
 
-def _hochster_plan(ideal: MonomialIdeal, symmetries) -> list:
+def _homological_index(route: str, degree: int, d: int) -> int:
+    """Where H~_d of a job's complex counts: in homological degree
+    |sigma| - d - 2 for the restriction to sigma (Hochster's formula), in
+    d + 1 for the upper Koszul complex at b."""
+    return degree - d - 2 if route == "hochster" else d + 1
+
+
+class _SweepPlan(NamedTuple):
+    """The field-independent part of a table. ``spheres`` holds the table
+    entries, {(i, degree): multiplicity}, of the jobs whose strong core is a
+    join of simplex boundaries, the same over every field; ``cores`` lists
+    every other distinct core once, as (core facet masks, [(degree, orbit
+    size), ...] of the jobs that have that core)."""
+
+    spheres: dict[tuple[int, int], int]
+    cores: list[tuple[tuple[int, ...], list[tuple[int, int]]]]
+
+
+def _gather(route: str, jobs) -> _SweepPlan:
+    """The plan of a route's (facet masks, degree, orbit size) jobs: each
+    complex is cut to its strong core; a point adds nothing, a sphere adds
+    its closed form, and every other core is kept once with all its
+    placements."""
+    spheres: dict[tuple[int, int], int] = {}
+    cores: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for facets, degree, weight in jobs:
+        core = _strong_core(facets)
+        if core is None:
+            continue
+        d = _sphere_dimension(core)
+        if d is None:
+            cores.setdefault(core, []).append((degree, weight))
+            continue
+        i = _homological_index(route, degree, d)
+        if i >= 0:
+            spheres[(i, degree)] = spheres.get((i, degree), 0) + weight
+    return _SweepPlan(spheres, list(cores.items()))
+
+
+# The last plan built is kept, so that the second field of a cross-checked
+# report reuses it. Only the core facets are kept; their faces are
+# enumerated again per field, so a plan stays small.
+_PLAN_MEMO: dict[tuple, _SweepPlan] = {}
+
+
+def _hochster_plan(ideal: MonomialIdeal, symmetries) -> _SweepPlan:
     count = ideal.ambient.count
     full = (1 << count) - 1
     delta_facets = {full & ~_mask_of(p) for p in ideal.minimal_primes()}
     gens = [g.support_mask() for g in ideal.gens]
     images = _symmetry_images(gens, symmetries, 1, list(range(count)))
-    jobs = []
-    for sigma, weight in _orbit_jobs(gens, _unions, images):
-        core = _strong_core({f & sigma for f in delta_facets})
-        if core is not None:
-            jobs.append((core, sigma.bit_count(), weight))
-    return jobs
+    return _gather(
+        "hochster",
+        (
+            ({f & sigma for f in delta_facets}, sigma.bit_count(), weight)
+            for sigma, weight in _orbit_jobs(gens, _unions, images)
+        ),
+    )
 
 
-def _koszul_plan(ideal: MonomialIdeal, symmetries) -> list:
+def _koszul_plan(ideal: MonomialIdeal, symmetries) -> _SweepPlan:
     count = ideal.ambient.count
     vectors = [g.exponents for g in ideal.gens]
     width = _field_width(vectors)
@@ -356,41 +518,42 @@ def _koszul_plan(ideal: MonomialIdeal, symmetries) -> list:
                     1 << i for i, at in enumerate(offsets) if (nonzero >> (at + width - 1)) & 1
                 )
             facets.append(mask)
-        core = _strong_core(facets)
-        if core is not None:
-            jobs.append((core, sum(_unpack(b, width, count)), weight))
-    return jobs
+        jobs.append((facets, sum(_unpack(b, width, count)), weight))
+    return _gather("koszul", jobs)
 
 
-def _sweep_plan(route: str, ideal: MonomialIdeal, symmetries) -> list:
+def _sweep_plan(route: str, ideal: MonomialIdeal, symmetries) -> _SweepPlan:
     key = (
         route,
         ideal.ambient.labels,
         tuple(g.exponents for g in ideal.gens),
         tuple(map(tuple, symmetries or ())),
     )
-    jobs = _PLAN_MEMO.get(key)
-    if jobs is None:
+    plan = _PLAN_MEMO.get(key)
+    if plan is None:
         build = _hochster_plan if route == "hochster" else _koszul_plan
-        jobs = build(ideal, symmetries)
+        plan = build(ideal, symmetries)
         _PLAN_MEMO.clear()
-        _PLAN_MEMO[key] = jobs
-    return jobs
+        _PLAN_MEMO[key] = plan
+    return plan
 
 
-def _sweep_chunk(route: str, jobs, p: int) -> dict:
-    """Weighted sum of the plan jobs' reduced Betti numbers over GF(p), placed
-    in the table: H~_d of the restriction to sigma counts in homological
-    degree |sigma| - d - 2 (Hochster's formula), H~_d of the upper Koszul
-    complex at b in homological degree d + 1."""
+def _sweep_chunk(route: str, cores, p: int) -> dict:
+    """The table entries over GF(p) of some of a plan's distinct cores: each
+    core is reduced once, and each of its reduced Betti numbers v counts
+    v * orbit size at every placement (degree, orbit size) of the core, in
+    the homological degree _homological_index gives."""
     field = FieldSpec(p)
     out: dict[tuple[int, int], int] = {}
-    for facets, degree, weight in jobs:
+    for facets, placements in cores:
         for d, v in betti_of_face_masks(faces_by_dim_masks(facets), field).items():
-            i = degree - d - 2 if route == "hochster" else d + 1
-            if v and i >= 0:
-                key = (i, degree)
-                out[key] = out.get(key, 0) + v * weight
+            if not v:
+                continue
+            for degree, weight in placements:
+                i = _homological_index(route, degree, d)
+                if i >= 0:
+                    key = (i, degree)
+                    out[key] = out.get(key, 0) + v * weight
     return out
 
 
@@ -451,9 +614,11 @@ def _planned_table(route: str, ideal: MonomialIdeal, field: FieldSpec, symmetrie
     key = _cache_key(ideal, field, route, symmetries)
     if key in _TABLE_CACHE:
         return _TABLE_CACHE[key]
-    jobs = _sweep_plan(route, ideal, symmetries)
+    plan = _sweep_plan(route, ideal, symmetries)
     worker = _hochster_chunk if route == "hochster" else _koszul_chunk
-    entries = _map_chunks(worker, route, jobs, field.characteristic, threads)
+    entries = _map_chunks(worker, route, plan.cores, field.characteristic, threads)
+    for entry, v in plan.spheres.items():
+        entries[entry] = entries.get(entry, 0) + v
     table = BettiTable("ideal", ideal.ambient.count, field, entries)
     _TABLE_CACHE[key] = table
     return table

@@ -157,10 +157,14 @@ def min_gens(monomials, ambient: VariableSet) -> "MonomialIdeal":
             seen.add(m.exponents)
             uniq.append(m)
     uniq.sort(key=Monomial.sort_key)
+    # a divisor of m other than m has lower degree, so each candidate is
+    # compared only with the kept generators of lower degree
     kept: list[Monomial] = []
-    for m in uniq:
-        if not any(g.divides(m) for g in kept):
-            kept.append(m)
+    for _, same_degree in itertools.groupby(uniq, key=lambda m: m.degree):
+        lower = kept[:]
+        for m in same_degree:
+            if not any(g.divides(m) for g in lower):
+                kept.append(m)
     return MonomialIdeal(ambient, tuple(kept))
 
 

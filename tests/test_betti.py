@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -277,6 +278,19 @@ class TestSweepPlan:
         threaded = betti_table_koszul(ideal, symmetries=board_symmetries(board), threads=2)
         assert serial.entries == threaded.entries and serial.quotient().reg() == 6
 
+    def test_second_call_returns_the_cached_table(self, plan_counts):
+        from rookideal import betti
+
+        # the 2x3 board ideal's tables mix sphere entries and reduced cores
+        ideal = facet_ideal(Board(2, 3))
+        for route in (betti_table_hochster, betti_table_koszul):
+            for field in (DEFAULT_FIELD, GF2):
+                first = route(ideal, field)
+                assert route(ideal, field) is first
+        plan = next(iter(betti._PLAN_MEMO.values()))
+        assert plan.spheres and plan.cores
+        assert plan_counts == {"hochster": 1, "koszul": 1}
+
     def test_cached_table_still_checks_symmetries(self):
         from rookideal.betti import clear_table_cache
 
@@ -363,6 +377,29 @@ class TestOrbitSweep:
             clear_table_cache()
             with pytest.raises(ValueError, match="does not fix"):
                 route(ideal, symmetries=perms)
+        clear_table_cache()
+
+    def test_symmetries_that_are_not_a_group_raise(self):
+        from rookideal.betti import clear_table_cache
+
+        # both lists fix the generators of (x1 x2, x1 x3, x2 x3)^2; the orbit
+        # sizes of the first are not orbit sizes, so its table would be wrong
+        ideal = facet_ideal(Board(1, 3)) ** 2
+        rotations = [(0, 1, 2), (1, 2, 0)]
+        clear_table_cache()
+        with pytest.raises(ValueError, match="not closed under composition"):
+            betti_table_koszul(ideal, symmetries=rotations)
+        expected = {(0, 2): 6, (1, 3): 8, (2, 4): 3}
+        assert betti_table_koszul(ideal, symmetries=rotations + [(2, 0, 1)]).entries == expected
+        with pytest.raises(ValueError, match="identity is missing"):
+            betti_table_koszul(ideal, symmetries=[(1, 2, 0), (2, 0, 1)])
+        board = Board(3, 3)
+        perms = board_symmetries(board)
+        for route, power in ((betti_table_hochster, 1), (betti_table_koszul, 2)):
+            for k in (1, 35, 71):  # drop one permutation from the group of order 72
+                clear_table_cache()
+                with pytest.raises(ValueError, match="not closed under composition"):
+                    route(facet_ideal(board) ** power, symmetries=perms[:k] + perms[k + 1 :])
         clear_table_cache()
 
     @pytest.mark.parametrize("m, n, t", [(2, 3, 1), (2, 3, 3), (2, 4, 2), (3, 3, 1), (3, 4, 1)])
@@ -465,7 +502,12 @@ class TestStrongCore:
         assert _strong_core(whiskered) == (0b11000, 0b101000, 0b110000)
 
     def test_plans_match_uncollapsed_plans(self, monkeypatch):
+        # the plain plan reduces every job's whole complex: no strong core and
+        # no sphere rule
         from rookideal import betti
+
+        def reduced_jobs(plan):
+            return sum(len(placements) for _, placements in plan.cores)
 
         ideals = [facet_ideal(Board(2, 3)) ** 2, facet_ideal(Board(2, 3))]
         ideals += _random_squarefree_ideals(6, 7, seed=4)
@@ -476,17 +518,134 @@ class TestStrongCore:
                 for field in (DEFAULT_FIELD, GF2):
                     betti.clear_table_cache()
                     cored = route(ideal, field)
-                    cored_jobs = next(iter(betti._PLAN_MEMO.values()))
+                    cored_plan = next(iter(betti._PLAN_MEMO.values()))
                     with monkeypatch.context() as patched:
                         patched.setattr(betti, "_strong_core", lambda facets: tuple(sorted(set(facets))))
+                        patched.setattr(betti, "_sphere_dimension", lambda facets: None)
                         betti.clear_table_cache()
                         full = route(ideal, field)
-                        full_jobs = next(iter(betti._PLAN_MEMO.values()))
+                        full_plan = next(iter(betti._PLAN_MEMO.values()))
                     assert cored.entries == full.entries
-                    assert len(cored_jobs) <= len(full_jobs)
-                    shrunk += len(cored_jobs) < len(full_jobs)
+                    assert not full_plan.spheres
+                    assert reduced_jobs(cored_plan) <= reduced_jobs(full_plan)
+                    shrunk += reduced_jobs(cored_plan) < reduced_jobs(full_plan)
         betti.clear_table_cache()
         assert shrunk  # the core did drop jobs, so the comparison means something
+
+
+def _join_of_boundaries(sizes, count, seed):
+    """The facet masks of the join of the boundaries of simplices with the
+    given vertex counts, on vertices drawn by a seeded shuffle of range(count),
+    and the vertex count of that join."""
+    labels = list(range(count))
+    random.Random(seed).shuffle(labels)
+    parts, at = [], 0
+    for size in sizes:
+        parts.append([1 << v for v in labels[at : at + size]])
+        at += size
+    vertices = sum(sum(part) for part in parts)
+    facets = {vertices ^ sum(pick) for pick in itertools.product(*parts)}
+    return sorted(facets), at
+
+
+class TestSphereCores:
+    """A core that is a join of simplex boundaries gets its homology in
+    closed form; every other core is reduced once per field, whatever the
+    number of jobs that share it."""
+
+    @staticmethod
+    def reduced(facets, field):
+        from rookideal.homology import betti_of_face_masks, faces_by_dim_masks
+
+        found = betti_of_face_masks(faces_by_dim_masks(facets), field)
+        return {d: v for d, v in found.items() if v}
+
+    @pytest.mark.parametrize(
+        "sizes", [(2,), (3,), (5,), (2, 2), (2, 3), (3, 4), (2, 2, 2), (2, 3, 4), (4, 2, 3)]
+    )
+    def test_relabelled_joins_are_recognised(self, sizes):
+        from rookideal import betti
+
+        for seed in range(3):
+            facets, used = _join_of_boundaries(sizes, 10, seed)
+            d = used - len(sizes) - 1
+            assert betti._sphere_dimension(facets) == d
+            assert betti._strong_core(facets) == tuple(facets)  # no dominated vertex
+            for field in (DEFAULT_FIELD, GF2):
+                assert self.reduced(facets, field) == {d: 1}
+            for k in range(len(facets)):
+                assert betti._sphere_dimension(facets[:k] + facets[k + 1 :]) is None
+
+    def test_degenerate_complexes(self):
+        from rookideal import betti
+
+        assert betti._sphere_dimension((0,)) == -1  # the irrelevant complex: S^-1
+        assert betti._sphere_dimension((0b111,)) is None  # a simplex is a ball
+        assert betti._sphere_dimension((0b1011, 0b1101, 0b1110)) is None  # a cone over a hollow triangle
+        # three points: vertex 2 lies outside c0 = {0, 1} and joins both parts
+        assert betti._sphere_dimension((0b01, 0b10, 0b100)) is None
+        # a point beside a connected graph with two independent cycles: its
+        # parts cover the vertices and their sizes multiply to the facet
+        # count, but the complements are not all transversals
+        graph = (0b1, 0b110, 0b1010, 0b1100, 0b10010, 0b10100)
+        assert betti._strong_core(graph) == graph
+        assert betti._sphere_dimension(graph) is None
+        assert self.reduced(graph, DEFAULT_FIELD) == {0: 1, 1: 2}
+
+    def test_plan_reduces_each_distinct_core_once(self, monkeypatch):
+        from rookideal import betti
+        from rookideal.homology import betti_of_face_masks
+
+        seen = []
+
+        def counted(by_dim, field):
+            seen.append((tuple(sorted(m for faces in by_dim.values() for m in faces)), field))
+            return betti_of_face_masks(by_dim, field)
+
+        monkeypatch.setattr(betti, "betti_of_face_masks", counted)
+        shared = 0
+        for ideal in _random_squarefree_ideals(20, 7, seed=9):
+            for route in (betti_table_hochster, betti_table_koszul):
+                betti.clear_table_cache()
+                seen.clear()
+                for field in (DEFAULT_FIELD, GF2):
+                    route(ideal, field)
+                plan = next(iter(betti._PLAN_MEMO.values()))
+                assert len(seen) == len(set(seen)) == 2 * len(plan.cores)
+                for core, placements in plan.cores:
+                    assert betti._sphere_dimension(core) is None
+                    shared += len(placements) > 1
+        betti.clear_table_cache()
+        assert shared  # some core stands for several jobs
+
+    def test_threads_match_serial_with_spheres_and_repeated_cores(self):
+        # plans with at least 16 distinct cores, so that two workers get
+        # them in chunks, some sphere jobs and a core shared by two jobs
+        from rookideal import betti
+
+        rng = random.Random(11)
+        ambient = VariableSet.generic(10)
+        checked = 0
+        for _ in range(100):
+            gens = [
+                Monomial.from_support(ambient, rng.sample(range(10), rng.randint(3, 5)))
+                for _ in range(rng.randint(8, 14))
+            ]
+            ideal = min_gens(gens, ambient)
+            betti.clear_table_cache()
+            plan = betti._sweep_plan("hochster", ideal, None)
+            if len(plan.cores) < 16 or not plan.spheres or all(len(p) == 1 for _, p in plan.cores):
+                continue
+            for field in (DEFAULT_FIELD, GF2):
+                betti.clear_table_cache()
+                serial = betti_table_hochster(ideal, field)
+                betti.clear_table_cache()
+                assert betti_table_hochster(ideal, field, threads=2).entries == serial.entries
+            checked += 1
+            if checked == 3:
+                break
+        betti.clear_table_cache()
+        assert checked == 3
 
 
 class TestHilbert:

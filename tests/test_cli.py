@@ -127,6 +127,17 @@ class TestInvariantsCommand:
         assert code == 1 and out == ""
         assert err == "error: declared ambient is smaller than the support\n"
 
+    def test_symmetries_that_are_not_a_group_are_a_clean_error(self, capsys, monkeypatch):
+        from rookideal import board_symmetries, cli
+
+        # the 2x3 board group without one of its twelve permutations
+        monkeypatch.setattr(cli, "board_symmetries", lambda board: board_symmetries(board)[:-1])
+        betti.clear_table_cache()
+        code, out, err = run_cli(capsys, "invariants", "--m", "2", "--n", "3")
+        betti.clear_table_cache()
+        assert code == 1 and out == ""
+        assert err == "error: symmetries are not closed under composition\n"
+
     @pytest.mark.parametrize("command", [
         ["invariants", "--m", "2", "--n", "3"], ["betti", "-"], ["verify"],
     ])

@@ -256,9 +256,9 @@ def pivot_rows(cx, d, field):
 
 
 def test_plan_jobs_match_plain_ranks(monkeypatch):
-    # every job of both sweep plans of the 3x4 facet ideal: the lazy kernel
-    # against the ranks of the bare boundary maps; some reductions build a
-    # deferred pivot column
+    # every core that both sweep plans of the 3x4 facet ideal reduce: the
+    # lazy kernel against the ranks of the bare boundary maps; some
+    # reductions build a deferred pivot column
     board = Board(3, 4)
     ideal, perms = facet_ideal(board), board_symmetries(board)
     real = homology._reduce_column
@@ -271,7 +271,7 @@ def test_plan_jobs_match_plain_ranks(monkeypatch):
     monkeypatch.setattr(homology, "_reduce_column", watched)
     vertices = VariableSet.generic(ideal.ambient.count)
     for route in ("hochster", "koszul"):
-        for facets, _, _ in betti._sweep_plan(route, ideal, perms):
+        for facets, _ in betti._sweep_plan(route, ideal, perms).cores:
             by_dim = homology.faces_by_dim_masks(facets)
             cx = SimplicialComplex.from_facets(vertices, [tuple(_bits(f)) for f in facets])
             for field in (DEFAULT_FIELD, GF2):

@@ -1,5 +1,7 @@
 """Structural invariants checked on randomized inputs."""
 
+import itertools
+
 import hypothesis.strategies as st
 from hypothesis import example, given, settings
 
@@ -173,7 +175,7 @@ def packed_points_and_perms(draw):
 @example((1, [0, 1, 2, 3, 4, 5], [(5, 4, 3, 2, 1, 0)], [0b110000]))  # 6 bits: a 2-bit top chunk
 def test_image_tables_match_one_permutation_at_a_time(case):
     width, offsets, perms, points = case
-    images = betti._symmetry_images([], perms, width, offsets)
+    images = betti._image_tables(perms, width, offsets)
     for x in points:
         expected = [oracles.permute_packed(x, perm, width, offsets) for perm in perms]
         assert list(images(x)) == expected
@@ -270,6 +272,67 @@ def test_strong_core_keeps_reduced_homology(facets):
         assert {d: v for d, v in cored.items() if v} == {d: v for d, v in full.items() if v}
     if core is not None:
         assert betti._strong_core(core) == core
+
+
+@st.composite
+def facet_sets_with_spheres(draw):
+    """Facet masks on at most 8 vertices: random ones, or a join of simplex
+    boundaries on random parts of a random vertex set, sometimes with one
+    facet added or removed."""
+    if draw(st.booleans()):
+        return draw(st.lists(st.integers(0, 255), min_size=1, max_size=8))
+    labels = draw(st.permutations(range(8)))[: draw(st.integers(0, 8))]
+    cuts = sorted(draw(st.sets(st.integers(1, max(len(labels) - 1, 1)), max_size=3)))
+    bounds = [0] + [c for c in cuts if c < len(labels)] + [len(labels)]
+    parts = [[1 << v for v in labels[a:b]] for a, b in zip(bounds, bounds[1:]) if b > a]
+    vertices = sum(sum(part) for part in parts)
+    facets = sorted({vertices ^ sum(pick) for pick in itertools.product(*parts)})
+    change = draw(st.sampled_from(["none", "add", "remove"]))
+    if change == "add":
+        facets.append(draw(st.integers(0, 255)))
+    elif change == "remove" and len(facets) > 1:
+        facets.pop(draw(st.integers(0, len(facets) - 1)))
+    return facets
+
+
+@settings(max_examples=300, deadline=None)
+@given(facet_sets_with_spheres())
+@example([0b0111, 0b1011, 0b1101, 0b1110])  # the boundary of the 3-simplex
+@example([0b0101, 0b0110, 0b1001, 0b1010])  # a square: two pairs of points joined
+@example([0])  # the irrelevant complex
+@example([0b1, 0b110, 0b1010, 0b1100, 0b10010, 0b10100])  # parts and sizes fit, not a join
+def test_sphere_rule_matches_the_kernel(facets):
+    # whenever the sphere rule fires on a strong core, its one copy of the
+    # field in dimension d is what the rank kernel finds over both fields
+    from rookideal.homology import betti_of_face_masks, faces_by_dim_masks
+
+    core = betti._strong_core(facets)
+    if core is None:
+        return
+    d = betti._sphere_dimension(core)
+    if d is None:
+        return
+    for field in (DEFAULT_FIELD, GF2):
+        found = betti_of_face_masks(faces_by_dim_masks(core), field)
+        assert {k: v for k, v in found.items() if v} == {d: 1}
+
+
+@st.composite
+def monomial_lists(draw, max_vars=5, max_exp=3, max_size=12):
+    """Monomials of mixed degrees with repeats and divisibilities mixed in."""
+    ambient = VariableSet.generic(draw(st.integers(1, max_vars)))
+    out = draw(st.lists(monomials(ambient, max_exp, allow_unit=True), max_size=max_size))
+    for m in list(out)[:3]:
+        if draw(st.booleans()):
+            out.append(m * draw(monomials(ambient, 1, allow_unit=True)))
+    return ambient, draw(st.permutations(out))
+
+
+@settings(max_examples=200, deadline=None)
+@given(monomial_lists())
+def test_min_gens_matches_naive_pruning(case):
+    ambient, raw = case
+    assert list(min_gens(raw, ambient).gens) == oracles.naive_min_gens(raw)
 
 
 @given(complexes(max_vars=5, max_facets=4))

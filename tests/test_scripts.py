@@ -75,3 +75,55 @@ def test_bench_pairs_summary_on_synthetic_lines():
     assert summary["failed"] == {"parent": 0, "change": 1}
     assert summary["attempted"] == {"parent": 50, "change": 50}
     assert summary["all_correct"] is False
+    assert solve["claim_rule_met"] is False  # 4 of 5 pairs is under nine tenths
+
+
+def test_bench_pairs_claim_rule():
+    bench = load_script("bench_pairs.py")
+
+    def pairs_of(parent, change):
+        def line(value):
+            return {"correct": True, "attempted": 1, "failed": 0, "metrics": {"solve_s": {"value": value, "unit": "s"}}}
+
+        return [{"seed": s, "parent": line(b), "change": line(c)} for s, (b, c) in enumerate(zip(parent, change), 1)]
+
+    parent = [1.0, 1.1, 1.2, 1.3, 1.4, 1.0, 1.1, 1.2, 1.3, 1.4]  # quartiles 1.1 and 1.3
+    # lower in all ten pairs, medians 1.2 and 0.8: met
+    met = bench.summarize(pairs_of(parent, [b - 0.4 for b in parent]))["solve_s"]
+    assert met["change_lower_in_pairs"] == 10 and met["claim_rule_met"] is True
+    # lower in nine pairs, by more than the spread: met
+    nine = bench.summarize(pairs_of(parent, [b - 0.4 for b in parent[:9]] + [1.5]))["solve_s"]
+    assert nine["change_lower_in_pairs"] == 9 and nine["claim_rule_met"] is True
+    # lower in eight pairs: not met
+    eight = bench.summarize(pairs_of(parent, [b - 0.4 for b in parent[:8]] + [1.5, 1.5]))["solve_s"]
+    assert eight["change_lower_in_pairs"] == 8 and eight["claim_rule_met"] is False
+    # lower in every pair, but by less than the parent's quartile distance: not met
+    close = bench.summarize(pairs_of(parent, [b - 0.1 for b in parent]))["solve_s"]
+    assert close["change_lower_in_pairs"] == 10 and close["claim_rule_met"] is False
+    # higher in every pair: not met
+    assert bench.summarize(pairs_of(parent, [b + 1 for b in parent]))["solve_s"]["claim_rule_met"] is False
+
+
+def test_bench_pairs_first_seed(tmp_path, monkeypatch):
+    bench = load_script("bench_pairs.py")
+    runs = []
+
+    def fake_run(checkout, workload, seed, seconds, trace):
+        runs.append((checkout.name, seed))
+        value = 1.0 if checkout.name == "parent" else 0.5
+        return {"correct": True, "attempted": 1, "failed": 0, "metrics": {"solve_s": {"value": value, "unit": "s"}}}
+
+    monkeypatch.setattr(bench, "extract_revision", lambda rev, dest: "0" * 40)
+    monkeypatch.setattr(bench, "copy_working_tree", lambda dest: None)
+    monkeypatch.setattr(bench, "run_once", fake_run)
+    out = tmp_path / "bench.json"
+    args = ["--base", "HEAD", "--workload", "random-ideals", "--seeds", "3", "--first-seed", "11",
+            "--seconds", "1", "--out", str(out)]
+    assert bench.main(args) == 0
+    # odd seeds run the parent first, even seeds the change
+    assert runs == [("parent", 11), ("change", 11), ("change", 12), ("parent", 12), ("parent", 13), ("change", 13)]
+    report = json.loads(out.read_text())
+    entry = report["random-ideals --trace 0 seeds 11-13"]
+    assert [p["seed"] for p in entry["runs"]] == [11, 12, 13]
+    assert "seeds 11-13" in entry["command"]
+    assert entry["summary"]["solve_s"]["claim_rule_met"] is True
