@@ -21,8 +21,13 @@ and each orbit's complex, degree and size. Without symmetries the lattice is
 closed a generator at a time and every point is a job. With symmetries the
 lattice is never closed or sorted: the sweep starts from the generators'
 orbits and joins each new orbit representative with every generator, and a
-permutation is applied to a point through per-chunk image tables (the images
-of every 4-bit chunk value under every permutation, built once). Each complex
+point is mapped through every permutation by per-chunk image tables (the
+images of every 4-bit chunk value under every permutation, built once). Both
+inner loops apply one point to a fixed list, so the list is packed once into
+64-bit lanes of one int (wider lanes for points past 64 bits): a
+representative is joined with every generator, and a point mapped through
+every permutation, by a few big-int operations and one unpack. The symmetry
+check tests only the permutations that generate the group. Each complex
 is cut to its strong core: dominated vertices (another vertex lies in every
 facet through them) are deleted one at a time, which keeps the homotopy type
 and so the reduced homology over every field, and a job whose core is a point
@@ -45,7 +50,9 @@ import functools
 import itertools
 import math
 import operator
+import sys
 import time
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple
@@ -180,12 +187,16 @@ def _unions(g: int, points) -> set[int]:
     return {g | b for b in points}
 
 
+def _swar_constants(width: int, count: int) -> tuple[int, int]:
+    """(guards, shift) of the SWAR max: the top bit of every field, and w - 1."""
+    return sum(1 << (at + width - 1) for at in _vector_offsets(width, count)), width - 1
+
+
 def _swar_joins(width: int, count: int):
     """The join of packed exponent vectors, a SWAR max: b - g with every
     guard bit of b set keeps a guard bit exactly where b >= g, and
     d - (d >> (w-1)) widens those guards into masks of the fields that b wins."""
-    guards = sum(1 << (at + width - 1) for at in _vector_offsets(width, count))
-    shift = width - 1
+    guards, shift = _swar_constants(width, count)
 
     def joins(g: int, points) -> set[int]:
         return {
@@ -195,9 +206,77 @@ def _swar_joins(width: int, count: int):
     return joins
 
 
+# A lane join packs a fixed list of points once into lanes of one int, lane k
+# holding point k (SWAR across lanes: Fisher and Dietz 1998). A lane is 8
+# bytes, or 8 * ceil(bits / 64) bytes for a point wider than 64 bits. r * ones
+# copies a point r into every lane, so one big-int operation applies r to the
+# whole list, and one unpack gives the results in list order. A lane builder
+# lanes(gens) returns join_all(r) = [r v g for g in gens].
+
+
+def _lane_bytes(bits: int) -> int:
+    return 8 * max(1, -(-bits // 64))
+
+
+def _pack_lanes(values, size: int) -> int:
+    if size == 8:
+        return int.from_bytes(array("Q", values).tobytes(), sys.byteorder)
+    return int.from_bytes(b"".join(v.to_bytes(size, sys.byteorder) for v in values), sys.byteorder)
+
+
+def _unpack_lanes(packed: int, count: int, size: int) -> list[int]:
+    raw = packed.to_bytes(count * size, sys.byteorder)
+    if size == 8:
+        return memoryview(raw).cast("Q").tolist()
+    return [int.from_bytes(raw[at : at + size], sys.byteorder) for at in range(0, len(raw), size)]
+
+
+def _lane_unions(gens):
+    """The lane join of bitmasks: a union is one OR. A union of the masks is
+    no wider than the widest of them, so that width sizes the lanes."""
+    gens = list(gens)
+    size = _lane_bytes(max(gens).bit_length())
+    packed = _pack_lanes(gens, size)
+    ones = _pack_lanes([1] * len(gens), size)
+
+    def join_all(r: int) -> list[int]:
+        return _unpack_lanes(packed | r * ones, len(gens), size)
+
+    return join_all
+
+
+def _lane_swar_joins(width: int, count: int):
+    """The lane join of packed exponent vectors: the SWAR max of _swar_joins
+    with every lane at once. Per field, (b | guards) - r is never negative,
+    so no borrow crosses a field, and none crosses a lane."""
+    guards, shift = _swar_constants(width, count)
+    size = _lane_bytes(width * count)
+
+    def lanes(gens):
+        gens = list(gens)
+        ones = _pack_lanes([1] * len(gens), size)
+        packed = _pack_lanes(gens, size)
+        lifted = packed | guards * ones
+        all_guards = guards * ones
+
+        def join_all(r: int) -> list[int]:
+            r *= ones
+            d = (lifted - r) & all_guards
+            return _unpack_lanes(r ^ ((packed ^ r) & (d - (d >> shift))), len(gens), size)
+
+        return join_all
+
+    return lanes
+
+
 def _closure(gens, joins) -> list[int]:
     """The closure of the generators under the join, sorted. Adding one
-    generator g to the closure L of the ones before it adds {g v b : b in L}."""
+    generator g to the closure L of the ones before it adds {g v b : b in L}.
+
+    The join stays scalar, one point at a time: L changes on every step, so
+    lanes would be packed afresh for every generator, and on many small
+    lattices (the benchmark's random-ideals workload) that packing made the
+    sweep slower, not faster."""
     lattice: set[int] = set()
     for g in sorted(set(gens)):
         lattice |= joins(g, lattice)
@@ -218,68 +297,77 @@ def _image_tables(perms, width: int, offsets: list[int]):
     A permutation moves whole fields, so it moves bit j of variable i's field
     to bit j of field perm[i]: it is a permutation of bits, and the image of
     x is the OR of the images of its 4-bit chunks. For each chunk position
-    and each chunk value, the images under every permutation are built once;
-    images(x) ORs one prebuilt list per nonzero chunk of x. When the point's
-    width is not a multiple of 4, the top chunk is shorter and has fewer
-    values, but it is still there."""
-    moved = [None] * (width * len(offsets))  # bit -> its images under every permutation
+    and each chunk value, the images under every permutation are built once
+    into one int, lane k holding the image under perms[k] (see _pack_lanes);
+    images(x) ORs one such int per nonzero chunk of x and unpacks once. When
+    the point's width is not a multiple of 4, the top chunk is shorter and
+    has fewer values, but it is still there."""
+    bits = width * len(offsets)
+    size = _lane_bytes(bits)
+    moved = [0] * bits  # bit -> its images under every permutation, in lanes
     for i, at in enumerate(offsets):
         for j in range(width):
-            moved[at + j] = [1 << (offsets[perm[i]] + j) for perm in perms]
-    zeros = [0] * len(perms)
+            moved[at + j] = _pack_lanes([1 << (offsets[perm[i]] + j) for perm in perms], size)
     tables = []
-    for low in range(0, len(moved), 4):
-        table = [zeros]
-        for value in range(1, 1 << min(4, len(moved) - low)):
+    for low in range(0, bits, 4):
+        table = [0]
+        for value in range(1, 1 << min(4, bits - low)):
             bit = low + (value & -value).bit_length() - 1
-            table.append(list(map(operator.or_, table[value & (value - 1)], moved[bit])))
+            table.append(table[value & (value - 1)] | moved[bit])
         tables.append(table)
+    count = len(perms)
 
-    def images(x: int):
-        out = zeros
+    def images(x: int) -> list[int]:
+        out = 0
         for table in tables:
+            if not x:
+                break
             if x & 15:
-                out = table[x & 15] if out is zeros else map(operator.or_, out, table[x & 15])
+                out |= table[x & 15]
             x >>= 4
-        return out
+        return _unpack_lanes(out, count, size)
 
     return images
 
 
 def _symmetry_images(gens: list[int], perms, width: int, offsets: list[int]):
-    """The image tables of ``perms`` (see _image_tables); None without
-    permutations. Raises ValueError unless every permutation is a permutation
-    of the variables that fixes the generating set, and then unless the
-    permutations are closed under composition: the sweep weighs each orbit
+    """The image tables of the distinct permutations in ``perms`` (see
+    _image_tables); None without permutations. Raises ValueError unless the
+    permutations are closed under composition and every generator of the
+    group they form (see _require_group) is a permutation of the variables
+    that fixes the generating set: the sweep weighs each orbit
     representative by the size of its image set, which counts the orbit only
-    when the permutations form a group."""
+    when the permutations form a group. Every member is a product of those
+    generators, so the generators alone show that every member is a
+    permutation and fixes the set."""
     if not perms:
         return None
     count = len(offsets)
-    for perm in perms:
-        if sorted(perm) != list(range(count)):
-            raise ValueError("symmetry is not a permutation of the variables")
-    images = _image_tables(perms, width, offsets)
     fixed = set(gens)
-    for g in fixed:
-        if not fixed.issuperset(images(g)):
-            raise ValueError("symmetry does not fix the generating set")
-    _require_group(perms)
-    return images
+
+    def admit(s):
+        if sorted(s) != list(range(count)):
+            raise ValueError("symmetry is not a permutation of the variables")
+        image = _image_tables([s], width, offsets)
+        for g in fixed:
+            if image(g)[0] not in fixed:
+                raise ValueError("symmetry does not fix the generating set")
+
+    _require_group(perms, count, admit)
+    return _image_tables(list(dict.fromkeys(map(tuple, perms))), width, offsets)
 
 
-def _require_group(perms) -> None:
+def _require_group(perms, count: int, admit) -> None:
     """Raise ValueError unless the permutations (repeats allowed) are closed
     under composition. The group they generate is grown by Dimino's method:
-    a permutation not reached yet becomes a generator and adds the right
-    cosets of the group so far, found by multiplying each coset
+    a permutation not reached yet becomes a generator, is passed to admit
+    (which may raise) before anything is composed with it, and adds the
+    right cosets of the group so far, found by multiplying each coset
     representative by every generator, so growing the group takes
     O(|group| * |generators|) compositions. The first product outside the
-    list raises."""
+    list raises; so does a list without the identity."""
     members = set(map(tuple, perms))
-    identity = tuple(range(len(next(iter(members)))))
-    if identity not in members:
-        raise ValueError("symmetries are not closed under composition: the identity is missing")
+    identity = tuple(range(count))
     group = [identity]
     reached = {identity}
 
@@ -298,6 +386,7 @@ def _require_group(perms) -> None:
     for s in members:
         if s in reached:
             continue
+        admit(s)
         gens.append(operator.itemgetter(*s))
         subgroup = group[:]
         add_coset(subgroup, s)
@@ -310,22 +399,26 @@ def _require_group(perms) -> None:
                 if x not in reached:
                     add_coset(subgroup, x)
             rep += len(subgroup)
+    if identity not in members:
+        raise ValueError("symmetries are not closed under composition: the identity is missing")
 
 
-def _orbit_jobs(gens, joins, images) -> list[tuple[int, int]]:
+def _orbit_jobs(gens, join, images) -> list[tuple[int, int]]:
     """The closure of the generators under the join as (representative,
     orbit size) jobs, sorted; a representative is the least point of its
-    orbit. Without symmetries every point of the closure is its own job.
+    orbit. Without symmetries ``join`` is a scalar join (see _closure) and
+    every point of the closure is its own job.
 
-    With symmetries the closure is never built: the sweep starts from the
-    generators' orbits and joins each new representative r with every
-    generator; a point not yet seen starts a new orbit. This reaches every
-    orbit: the closure is made of joins x v g with x in it, and if
-    x = pi(r) then x v g = pi(r v pi^-1(g)), where pi^-1(g) is again a
-    generator."""
+    With symmetries ``join`` is a lane builder (see _lane_unions), and the
+    closure is never built: the sweep starts from the generators' orbits and
+    joins each new representative r with every generator, through the lanes
+    it packs once; a point not yet seen starts a new orbit. This reaches every orbit: the closure is made
+    of joins x v g with x in it, and if x = pi(r) then x v g =
+    pi(r v pi^-1(g)), where pi^-1(g) is again a generator."""
     if images is None:
-        return [(x, 1) for x in _closure(gens, joins)]
+        return [(x, 1) for x in _closure(gens, join)]
     gens = set(gens)
+    join_all = join(gens)
     seen: set[int] = set()
     jobs = []
     pending = list(gens)
@@ -338,7 +431,7 @@ def _orbit_jobs(gens, joins, images) -> list[tuple[int, int]]:
         seen |= orbit
         rep = min(orbit)
         jobs.append((rep, len(orbit)))
-        pending.extend(joins(rep, gens) - seen)
+        pending.extend(set(join_all(rep)) - seen)
     jobs.sort()
     return jobs
 
@@ -489,7 +582,7 @@ def _hochster_plan(ideal: MonomialIdeal, symmetries) -> _SweepPlan:
         "hochster",
         (
             ({f & sigma for f in delta_facets}, sigma.bit_count(), weight)
-            for sigma, weight in _orbit_jobs(gens, _unions, images)
+            for sigma, weight in _orbit_jobs(gens, _unions if images is None else _lane_unions, images)
         ),
     )
 
@@ -499,14 +592,15 @@ def _koszul_plan(ideal: MonomialIdeal, symmetries) -> _SweepPlan:
     vectors = [g.exponents for g in ideal.gens]
     width = _field_width(vectors)
     offsets = _vector_offsets(width, count)
-    ones = sum(1 << at for at in offsets)
-    guards = ones << (width - 1)
+    guards, shift = _swar_constants(width, count)
+    ones = guards >> shift
     gens = [_pack(v, width) for v in vectors]
     images = _symmetry_images(gens, symmetries, width, offsets)
     # the guard bits of the nonzero fields of b - g -> the mask of those variables
     masks: dict[int, int] = {}
     jobs = []
-    for b, weight in _orbit_jobs(gens, _swar_joins(width, count), images):
+    join = _swar_joins(width, count) if images is None else _lane_swar_joins(width, count)
+    for b, weight in _orbit_jobs(gens, join, images):
         bg = b | guards
         facets = []
         # the upper Koszul complex at b has a facet {i : b_i > g_i} for each g | b

@@ -322,9 +322,9 @@ class TestOrbitSweep:
 
     @staticmethod
     def lattices(ideal, perms):
-        """(generators, join, closure, images) for each lattice the ideal's
-        routes sweep: the union lattice of a squarefree ideal and the lcm
-        lattice of any."""
+        """(generators, join, lane join, closure, images) for each lattice
+        the ideal's routes sweep: the union lattice of a squarefree ideal and
+        the lcm lattice of any."""
         from rookideal import betti
 
         count = ideal.ambient.count
@@ -332,12 +332,14 @@ class TestOrbitSweep:
         if ideal.is_squarefree:
             masks = [g.support_mask() for g in ideal.gens]
             images = betti._symmetry_images(masks, perms, 1, list(range(count)))
-            out.append((masks, betti._unions, betti._closure(masks, betti._unions), images))
+            closure = betti._closure(masks, betti._unions)
+            out.append((masks, betti._unions, betti._lane_unions, closure, images))
         vectors = [g.exponents for g in ideal.gens]
         width = betti._field_width(vectors)
         gens = [betti._pack(v, width) for v in vectors]
         images = betti._symmetry_images(gens, perms, width, betti._vector_offsets(width, count))
-        out.append((gens, betti._swar_joins(width, count), betti._join_closure(gens, width, count), images))
+        joins, lanes = betti._swar_joins(width, count), betti._lane_swar_joins(width, count)
+        out.append((gens, joins, lanes, betti._join_closure(gens, width, count), images))
         return out
 
     @pytest.mark.parametrize("m, n, t", [(2, 3, 1), (2, 3, 2), (2, 3, 3), (2, 4, 1), (2, 4, 2), (3, 4, 1)])
@@ -345,8 +347,9 @@ class TestOrbitSweep:
         from rookideal import betti
 
         for ideal, perms in _board_cases(Board(m, n), t, seed=100 * m + 10 * n + t):
-            for gens, joins, closure, images in self.lattices(ideal, perms):
-                jobs = betti._orbit_jobs(gens, joins, images)
+            for gens, joins, lanes, closure, images in self.lattices(ideal, perms):
+                assert betti._orbit_jobs(gens, joins, None) == [(x, 1) for x in closure]
+                jobs = betti._orbit_jobs(gens, lanes, images)
                 assert sum(weight for _, weight in jobs) == len(closure)
                 covered = set()
                 for rep, weight in jobs:
@@ -402,6 +405,39 @@ class TestOrbitSweep:
                     route(facet_ideal(board) ** power, symmetries=perms[:k] + perms[k + 1 :])
         clear_table_cache()
 
+    def test_only_the_group_generators_are_checked(self):
+        from rookideal import betti
+
+        board = Board(4, 4)
+        perms = board_symmetries(board)
+        admitted = []
+        betti._require_group(perms, 16, admitted.append)
+        assert len(admitted) <= 10  # 1,152 = 2^7 * 3^2
+        group = {tuple(range(16))}
+        while True:  # the closure of the admitted ones under composition is the whole list
+            grown = group | {tuple(g[i] for i in h) for g in group for h in admitted}
+            if grown == group:
+                break
+            group = grown
+        assert group == set(perms)
+
+    def test_a_member_outside_the_group_is_checked(self):
+        from rookideal.betti import clear_table_cache
+
+        # a non-permutation is never reached from the group, so it becomes a
+        # generator and is checked before anything is composed with it
+        board = Board(2, 3)
+        ideal = facet_ideal(board) ** 2
+        for bad in ((0,) * 6, (0, 1, 2, 3, 4), (0, 1, 2, 3, 4, 6)):
+            clear_table_cache()
+            with pytest.raises(ValueError, match="not a permutation"):
+                betti_table_koszul(ideal, symmetries=board_symmetries(board) + [bad])
+        # the symmetric group on the variables is closed, but does not fix the ideal
+        clear_table_cache()
+        with pytest.raises(ValueError, match="does not fix"):
+            betti_table_koszul(ideal, symmetries=list(itertools.permutations(range(6))))
+        clear_table_cache()
+
     @pytest.mark.parametrize("m, n, t", [(2, 3, 1), (2, 3, 3), (2, 4, 2), (3, 3, 1), (3, 4, 1)])
     def test_tables_match_tables_without_symmetries(self, m, n, t):
         from rookideal.betti import clear_table_cache
@@ -416,6 +452,54 @@ class TestOrbitSweep:
                     plain = route(ideal, field)
                     assert orbits.entries == plain.entries
         clear_table_cache()
+
+
+class TestWideLanes:
+    """Packed points wider than 64 bits, so lanes of more than one word,
+    through the whole table: with and without symmetries, both fields."""
+
+    @staticmethod
+    def tables(ideal, perms, routes):
+        from rookideal.betti import clear_table_cache
+
+        out = []
+        for route in routes:
+            for field in (DEFAULT_FIELD, GF2):
+                for symmetries in (perms, None):
+                    clear_table_cache()
+                    out.append(route(ideal, field, symmetries=symmetries).entries)
+        clear_table_cache()
+        return out
+
+    def test_three_disjoint_blocks_on_66_variables(self):
+        # blocks of 2, 2 and 62 variables: 66-bit support masks (16-byte
+        # lanes) and 132-bit exponent vectors (24-byte lanes); the blocks are
+        # coprime, so the table is the Koszul complex's
+        ambient = VariableSet.generic(66)
+        blocks = (range(0, 2), range(2, 4), range(4, 66))
+        ideal = min_gens([Monomial.from_support(ambient, block) for block in blocks], ambient)
+        swap = (2, 3, 0, 1) + tuple(range(4, 66))  # the two small blocks
+        perms = [tuple(range(66)), swap]
+        expected = {(0, 2): 2, (0, 62): 1, (1, 4): 1, (1, 64): 2, (2, 66): 1}
+        assert self.tables(ideal, perms, (betti_table_koszul, betti_table_hochster)) == [expected] * 8
+
+    def test_square_of_an_eight_cycle_with_exponent_200(self):
+        # exponents up to 400 in 10-bit fields: 80-bit points, 16-byte lanes;
+        # raising every variable to the 200th power scales every degree by 200
+        ambient = VariableSet.generic(8)
+
+        def cycle(e):
+            edges = [tuple(e if k in (i, (i + 1) % 8) else 0 for k in range(8)) for i in range(8)]
+            return min_gens([Monomial(ambient, v) for v in edges], ambient)
+
+        dihedral = [tuple((s * i + k) % 8 for i in range(8)) for k in range(8) for s in (1, -1)]
+        assert len(set(dihedral)) == 16
+        tables = self.tables(cycle(200) ** 2, dihedral, (betti_table_koszul,))
+        plain = betti_table_koszul(cycle(1) ** 2)
+        assert tables == [{(i, 200 * j): b for (i, j), b in plain.entries.items()}] * 4
+        assert plain.entries == {(0, 4): 36, (1, 5): 64, (1, 6): 48, (2, 6): 28, (2, 7): 120, (3, 8): 95, (4, 9): 24}
+        # reg(I(C_n)^t) = 2t + nu - 1 with nu = floor(n / 3) (Beyarslan, Ha and Trung 2015)
+        assert plain.reg() == 5
 
 
 def _random_squarefree_ideals(count: int, nvars: int, seed: int):

@@ -1,6 +1,8 @@
 """Structural invariants checked on randomized inputs."""
 
+import functools
 import itertools
+import operator
 
 import hypothesis.strategies as st
 from hypothesis import example, given, settings
@@ -156,10 +158,14 @@ def test_packed_join_closure_matches_tuple_closure(vectors):
 @st.composite
 def packed_points_and_perms(draw):
     """Points of 1 to 7 fields of 1 to 5 bits (so the point's width is often
-    not a multiple of 4), laid out first field high (exponent vectors) or low
-    (support masks), with 1 to 6 permutations, repeats allowed."""
-    width = draw(st.integers(1, 5))
-    count = draw(st.integers(1, 7))
+    not a multiple of 4), or of 9 to 12 fields of 6 to 11 bits (54 to 132
+    bits, so lanes of 8, 16 and 24 bytes), laid out first field high
+    (exponent vectors) or low (support masks), with 1 to 6 permutations,
+    repeats allowed."""
+    if draw(st.booleans()):
+        width, count = draw(st.integers(1, 5)), draw(st.integers(1, 7))
+    else:
+        width, count = draw(st.integers(6, 11)), draw(st.integers(9, 12))
     offsets = betti._vector_offsets(width, count)
     if draw(st.booleans()):
         offsets.reverse()
@@ -169,16 +175,59 @@ def packed_points_and_perms(draw):
     return width, offsets, perms, points
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(packed_points_and_perms())
 @example((3, [12, 9, 6, 3, 0], [(4, 0, 1, 2, 3)], [1 << 14]))  # 15 bits: a 3-bit top chunk
 @example((1, [0, 1, 2, 3, 4, 5], [(5, 4, 3, 2, 1, 0)], [0b110000]))  # 6 bits: a 2-bit top chunk
+@example((11, betti._vector_offsets(11, 12), [tuple(range(11, -1, -1))], [1 << 131, 1 << 64]))  # 24-byte lanes
+@example((6, list(range(0, 66, 6)), [tuple(range(1, 11)) + (0,)], [(1 << 66) - 1, 1 << 63]))  # 16-byte lanes
 def test_image_tables_match_one_permutation_at_a_time(case):
     width, offsets, perms, points = case
     images = betti._image_tables(perms, width, offsets)
     for x in points:
         expected = [oracles.permute_packed(x, perm, width, offsets) for perm in perms]
-        assert list(images(x)) == expected
+        assert images(x) == expected
+
+
+@st.composite
+def wide_vectors(draw):
+    """A point r and 1 to 8 generators: exponent vectors of 9 to 12 entries
+    below 2^(w-1), for a field width w of 6 to 11 bits."""
+    width = draw(st.integers(6, 11))
+    count = draw(st.integers(9, 12))
+    vector = st.lists(st.integers(0, (1 << (width - 1)) - 1), min_size=count, max_size=count).map(tuple)
+    return width, draw(vector), draw(st.lists(vector, min_size=1, max_size=8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_vectors())
+@example((11, (1023,) * 12, [(0,) * 12, (1023,) * 11 + (0,)]))  # 132 bits: 24-byte lanes
+@example((8, (0, 127) * 5, [(127, 0) * 5, (5,) * 10]))  # 80 bits: 16-byte lanes
+def test_lane_swar_join_matches_scalar_join(case):
+    width, r, vectors = case
+    count = len(r)
+    point = betti._pack(r, width)
+    gens = [betti._pack(v, width) for v in vectors]
+    joins = betti._swar_joins(width, count)
+    got = betti._lane_swar_joins(width, count)(gens)(point)
+    assert got == [min(joins(point, [g])) for g in gens]
+    assert [betti._unpack(x, width, count) for x in got] == [tuple(map(max, r, v)) for v in vectors]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(1, (1 << 140) - 1), min_size=1, max_size=8),
+    st.integers(1, 140),
+    st.integers(0, 255),
+)
+@example([1 << 65, 1], 66, 1)  # 66 bits: 16-byte lanes
+def test_lane_union_matches_scalar_union(masks, bits, pick):
+    # masks cut to at most `bits` bits (lanes of 8 to 24 bytes), joined with
+    # r, a union of some of them, as in the lattice sweep
+    low = (1 << bits) - 1
+    gens = [m & low or 1 for m in masks]
+    r = functools.reduce(operator.or_, (g for k, g in enumerate(gens) if pick >> k & 1), 0) or gens[0]
+    assert betti._lane_unions(gens)(r) == [min(betti._unions(r, [g])) for g in gens]
 
 
 @settings(max_examples=40, deadline=None)

@@ -127,3 +127,16 @@ def test_bench_pairs_first_seed(tmp_path, monkeypatch):
     assert [p["seed"] for p in entry["runs"]] == [11, 12, 13]
     assert "seeds 11-13" in entry["command"]
     assert entry["summary"]["solve_s"]["claim_rule_met"] is True
+
+
+def test_table_digest_repeats():
+    runs = [run_script("table_digest.py", "--quick") for _ in range(2)]
+    assert [p.returncode for p in runs] == [0, 0]
+    assert runs[0].stdout == runs[1].stdout
+    words = runs[0].stdout.split()
+    assert words[0] == "sha256" and len(words[1]) == 64 and words[2:] == ["tables", "72"]
+    # other tables give another digest
+    script = load_script("table_digest.py")
+    ideals = [(name, ideal, None) for name, ideal in script.random_ideals(3, script.SEED)]
+    full, fewer = script.digest(ideals), script.digest(ideals[:2])
+    assert full[0] != fewer[0] and full[1] > fewer[1]
