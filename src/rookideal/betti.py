@@ -40,8 +40,11 @@ cross-checked at 32003 and GF(2) builds it once; clear_table_cache() drops it
 with the cached tables. The minimal primes (their complements are the facets
 of the squarefree route's complex; their sizes give a report's height, dim
 and bight) are not kept: each call finds them afresh by Berge's sequential
-transversal method. The distinct cores can be fanned out over processes; the
-reduction is a plain sum, so the result is schedule independent.
+transversal method. A report reads the Hilbert series, and so the
+a-invariant, off the quotient table, and checks that the pole order of the
+series is the dim the primes give. The distinct cores can be fanned out over
+processes; the reduction is a plain sum, so the result is schedule
+independent.
 """
 
 from __future__ import annotations
@@ -57,7 +60,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple
 
-from .complexes import sr_complex_of_ideal
 from .homology import DEFAULT_FIELD, GF2, FieldSpec, betti_of_face_masks, faces_by_dim_masks
 from .monomials import MonomialIdeal, _mask_of, min_gens
 
@@ -747,7 +749,7 @@ def _cache_key(ideal: MonomialIdeal, field: FieldSpec, route: str, symmetries):
 
 
 # ---------------------------------------------------------------------------
-# Hilbert series and a-invariant (squarefree quotients, via the f-vector)
+# Hilbert series and a-invariant (any quotient, from its Betti table)
 
 
 @dataclass(frozen=True)
@@ -778,15 +780,6 @@ class HilbertSeries:
         return f"({num})/(1 - t)^{self.denominator_power}"
 
 
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
 def _poly_div_one_minus_t(a: list[int]) -> list[int]:
     # a(t) = (1 - t) q(t); prefix sums give q, divisibility means a(1) = 0
     if sum(a) != 0:
@@ -799,43 +792,22 @@ def _poly_div_one_minus_t(a: list[int]) -> list[int]:
     return q if q else [0]
 
 
-def hilbert_series(ideal: MonomialIdeal, ambient_count: int | None = None) -> HilbertSeries:
-    """Hilbert series of the squarefree quotient from the f-vector of its
-    monomial-free complex; extra ambient variables only extend the denominator."""
-    if not ideal.is_squarefree:
-        raise ValueError("Hilbert series route requires a squarefree ideal")
-    if ideal.is_unit:
-        raise ValueError("the unit ideal has no Hilbert series here")
-    if ambient_count is None:
-        ambient_count = ideal.ambient.count
-    extra = ambient_count - ideal.ambient.count
-    if extra < 0:
-        raise ValueError("declared ambient smaller than the ideal's variable set")
-    cx = sr_complex_of_ideal(ideal)
-    by_dim = faces_by_dim_masks(cx.facet_masks())
-    top = max(by_dim) + 1  # largest face size = Krull dimension of the quotient
-    numerator = [0] * (top + 1)
-    for d, faces in by_dim.items():
-        s = d + 1
-        term = _poly_mul([0] * s + [len(faces)], _poly_power_one_minus_t(top - s))
-        for k, c in enumerate(term):
-            numerator[k] += c
-    denom = top + extra
-    while len(numerator) > 1 and numerator[-1] == 0:
-        numerator = numerator[:-1]
+def hilbert_series(quotient: BettiTable, ambient_count: int | None = None) -> HilbertSeries:
+    """Hilbert series of S/I read off its quotient table: the numerator
+    sum (-1)^i beta_{i,j} t^j over (1 - t)^n, n the ambient count (Bruns and
+    Herzog, Cohen-Macaulay Rings, 4.1), reduced to lowest terms."""
+    if quotient.subject != "quotient":
+        raise ValueError("the Hilbert series is read off the quotient table")
+    numerator = [0] * (max(j for _, j in quotient.entries) + 1)
+    for (i, j), b in quotient.entries.items():
+        numerator[j] += -b if i % 2 else b
+    denom = quotient.ambient if ambient_count is None else ambient_count
     while denom > 0 and sum(numerator) == 0:
         numerator = _poly_div_one_minus_t(numerator)
         denom -= 1
-        while len(numerator) > 1 and numerator[-1] == 0:
-            numerator = numerator[:-1]
+    while len(numerator) > 1 and numerator[-1] == 0:
+        numerator.pop()
     return HilbertSeries(tuple(numerator), denom)
-
-
-def _poly_power_one_minus_t(k: int) -> list[int]:
-    out = [1]
-    for _ in range(k):
-        out = _poly_mul(out, [1, -1])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -852,7 +824,7 @@ class InvariantReport:
     dim: int
     height: int
     bight: int
-    a_invariant: int | None
+    a_invariant: int
     field_characteristic: int
     torsion_warning: bool
     ambient: int
@@ -906,9 +878,12 @@ def invariant_report(
         raise ArithmeticError(
             f"depth {depth} exceeds dim {dim}; the table or the primes are wrong"
         )
-    a_inv = None
-    if ideal.is_squarefree:
-        a_inv = hilbert_series(ideal, ambient_count).a_invariant
+    series = hilbert_series(quotient, ambient_count)
+    if series.denominator_power != dim:
+        raise ArithmeticError(
+            f"the Hilbert series has a pole of order {series.denominator_power} at t = 1"
+            f" but dim is {dim}; the table or the primes are wrong"
+        )
     warning = False
     if cross_check:
         other = GF2 if field.characteristic != 2 else DEFAULT_FIELD
@@ -921,7 +896,7 @@ def invariant_report(
         dim=dim,
         height=height,
         bight=bight,
-        a_invariant=a_inv,
+        a_invariant=series.a_invariant,
         field_characteristic=field.characteristic,
         torsion_warning=warning,
         ambient=ambient_count,

@@ -140,6 +140,7 @@ def cmd_invariants(args) -> int:
         field=_field(args),
         symmetries=board_symmetries(board),
         threads=args.threads,
+        cross_check=True,
     )
     payload = {"board": [board.m, board.n], "power": args.power, "subject": "quotient"}
     payload.update(report.to_dict())

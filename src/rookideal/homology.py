@@ -19,7 +19,6 @@ rookideal.betti), so the faces enumerated here are those of the cores.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from weakref import WeakKeyDictionary
 
 from .monomials import _bits
 
@@ -134,8 +133,6 @@ def rank(matrix: SparseMatrix, field: FieldSpec) -> int:
 # ---------------------------------------------------------------------------
 # face enumeration (bitmask internals shared with the Betti sweeps)
 
-_FACE_CACHE: "WeakKeyDictionary" = WeakKeyDictionary()
-
 
 def _submasks(mask: int) -> list[int]:
     # every subset, doubled one vertex at a time
@@ -159,19 +156,11 @@ def faces_by_dim_masks(facet_masks) -> dict[int, list[int]]:
     return out
 
 
-def _complex_faces(cx) -> dict[int, list[int]]:
-    cached = _FACE_CACHE.get(cx)
-    if cached is None:
-        cached = faces_by_dim_masks(cx.facet_masks()) if not cx.is_void else {}
-        _FACE_CACHE[cx] = cached
-    return cached
-
-
 def faces_of_dim(cx, d: int) -> list[tuple[int, ...]]:
     """Ordered list of d-faces; d = -1 gives the empty face of a non-void complex."""
     if d < -1:
         raise ValueError("dimension must be at least -1")
-    return [tuple(_bits(m)) for m in _complex_faces(cx).get(d, [])]
+    return [tuple(_bits(m)) for m in faces_by_dim_masks(cx.facet_masks()).get(d, [])]
 
 
 def _boundary_column(m: int, p: int) -> dict[int, int]:
@@ -193,7 +182,7 @@ def boundary_matrix(cx, d: int, field: FieldSpec) -> SparseMatrix:
     (d-1)-faces and columns by d-faces, entries (-1)^position mod p."""
     if d < 0:
         raise ValueError("boundary dimension must be at least 0")
-    by_dim = _complex_faces(cx)
+    by_dim = faces_by_dim_masks(cx.facet_masks())
     rows, cols = by_dim.get(d - 1, []), by_dim.get(d, [])
     row_index = {m: i for i, m in enumerate(rows)}
     entries = tuple(
@@ -243,6 +232,4 @@ def betti_of_face_masks(by_dim: dict[int, list[int]], field: FieldSpec) -> dict[
 
 def reduced_betti(cx, field: FieldSpec) -> dict[int, int]:
     """Reduced Betti numbers b~_d for d = -1 .. dim; {} for the void complex."""
-    if cx.is_void:
-        return {}
-    return betti_of_face_masks(_complex_faces(cx), field)
+    return betti_of_face_masks(faces_by_dim_masks(cx.facet_masks()), field)

@@ -3,12 +3,14 @@
 Everything here deliberately avoids the library's production code paths:
 covers come from full subset enumeration, Betti numbers of two-generator
 ideals from the short Taylor resolution, powers from naive product
-expansion, lcm lattices from pairwise joins of plain tuples, and so on.
+expansion, lcm lattices from pairwise joins of plain tuples, Hilbert series
+from the f-vector of the Stanley-Reisner complex (of the polarization, for an
+ideal that is not squarefree) rather than from a Betti table, and so on.
 """
 
 import itertools
 
-from rookideal import Monomial, MonomialIdeal, min_gens
+from rookideal import Monomial, VariableSet, min_gens
 
 
 def brute_force_minimal_covers(facets, nverts):
@@ -129,3 +131,52 @@ def permute_packed(point, perm, width, offsets):
         value = (point >> at) % (1 << width)
         out += value * (1 << offsets[perm[i]])
     return out
+
+
+def f_vector_series(ideal, ambient_count=None):
+    """Hilbert series of a squarefree quotient from the f-vector of its
+    Stanley-Reisner complex: sum over faces of size s of t^s (1 - t)^(D - s)
+    over (1 - t)^D, D the largest face size, with one more power of 1 - t per
+    variable outside the ideal's set. Returns (numerator, denominator power)
+    in lowest terms."""
+    from rookideal import sr_complex_of_ideal
+    from rookideal.homology import faces_by_dim_masks
+
+    if ambient_count is None:
+        ambient_count = ideal.ambient.count
+    by_dim = faces_by_dim_masks(sr_complex_of_ideal(ideal).facet_masks())
+    top = max(by_dim) + 1
+    numerator = [0] * (top + 1)
+    for d, faces in by_dim.items():
+        term = [0] * (d + 1) + [len(faces)]
+        for _ in range(top - d - 1):
+            term = [a - b for a, b in zip(term + [0], [0] + term)]  # times 1 - t
+        for k, c in enumerate(term):
+            numerator[k] += c
+    denom = top + ambient_count - ideal.ambient.count
+    # divide out 1 - t while t = 1 is a root: synthetic division at 1
+    while denom > 0 and sum(numerator) == 0:
+        numerator = list(itertools.accumulate(numerator[:-1]))
+        denom -= 1
+    while len(numerator) > 1 and numerator[-1] == 0:
+        numerator.pop()
+    return tuple(numerator), denom
+
+
+def polarization(ideal):
+    """Squarefree polarization: variable i with largest exponent e among the
+    generators becomes e variables (at least one), and x_i^a becomes the
+    product of the first a of them. Returns (polarized ideal, number of
+    added variables); S/I and its polarization have the same Betti table,
+    and their Hilbert series differ by (1 - t)^(added) in the denominator."""
+    n = ideal.ambient.count
+    tops = [max([g.exponents[i] for g in ideal.gens] + [1]) for i in range(n)]
+    starts = list(itertools.accumulate([0] + tops[:-1]))
+    ambient = VariableSet.generic(sum(tops))
+    gens = [
+        Monomial.from_support(
+            ambient, [starts[i] + k for i, e in enumerate(g.exponents) for k in range(e)]
+        )
+        for g in ideal.gens
+    ]
+    return min_gens(gens, ambient), sum(tops) - n

@@ -6,6 +6,7 @@ import pytest
 from rookideal import (
     GF2,
     DEFAULT_FIELD,
+    BettiTable,
     Board,
     FieldSpec,
     Monomial,
@@ -210,6 +211,32 @@ class TestInvariantReport:
         report = invariant_report(facet_ideal(Board(2, 3)) ** 2)
         assert (report.height, report.dim, report.bight) == (3, 3, 4)
 
+    @pytest.mark.parametrize("m, n, t, a", [(1, 3, 2, 1), (2, 2, 3, 4), (2, 3, 4, 6), (2, 4, 3, 4)])
+    def test_power_a_invariant_matches_polarization(self, m, n, t, a):
+        board = Board(m, n)
+        ideal = facet_ideal(board) ** t
+        report = invariant_report(ideal, symmetries=board_symmetries(board))
+        assert report.a_invariant == a
+        if m * n * t <= 18:
+            # past 18 variables the f-vector walk over the polarization
+            # takes more than ten seconds
+            polarized, added = oracles.polarization(ideal)
+            numerator, power = oracles.f_vector_series(polarized)
+            assert report.a_invariant == len(numerator) - 1 - (power - added)
+
+    def test_pole_order_off_dim_raises(self, monkeypatch):
+        from rookideal import HilbertSeries, betti
+
+        real = betti.hilbert_series
+
+        def doctored(quotient, ambient_count=None):
+            series = real(quotient, ambient_count)
+            return HilbertSeries(series.numerator, series.denominator_power + 1)
+
+        monkeypatch.setattr(betti, "hilbert_series", doctored)
+        with pytest.raises(ArithmeticError, match="pole of order 7 .* dim is 6"):
+            invariant_report(facet_ideal(Board(3, 3)))
+
 
 class TestSweepPlan:
     @pytest.fixture
@@ -238,10 +265,11 @@ class TestSweepPlan:
         invariant_report(facet_ideal(board), symmetries=perms, cross_check=True)
         assert plan_counts == {"hochster": 1, "koszul": 1}
 
-    def test_dual_char_reg_builds_one_plan(self, plan_counts):
-        from rookideal.verify import _dual_char_reg
+    def test_dual_char_report_builds_one_plan(self, plan_counts):
+        from rookideal.verify import _dual_char_report
 
-        assert _dual_char_reg(fixture_ideal("L_six")) == (3, True)
+        report = _dual_char_report(fixture_ideal("L_six"))
+        assert report.reg == 2 and not report.torsion_warning
         assert sum(plan_counts.values()) == 1
 
     def test_other_symmetries_get_a_fresh_plan_and_check(self, plan_counts):
@@ -733,34 +761,74 @@ class TestSphereCores:
 
 
 class TestHilbert:
+    @staticmethod
+    def series(ideal, ambient_count=None):
+        return hilbert_series(betti_table(ideal).quotient(), ambient_count)
+
     def test_edge_series(self):
-        series = hilbert_series(EDGE)
+        series = self.series(EDGE)
         assert series.numerator == (1, 1)
         assert series.denominator_power == 1
         assert series.a_invariant == 0
 
     def test_two_by_two(self):
-        series = hilbert_series(facet_ideal(Board(2, 2)))
+        series = self.series(facet_ideal(Board(2, 2)))
         assert series.numerator == (1, 2, 1)
         assert series.denominator_power == 2
         assert series.a_invariant == 0
 
     def test_three_by_three(self):
-        assert hilbert_series(facet_ideal(Board(3, 3))).a_invariant == 0
+        assert self.series(facet_ideal(Board(3, 3))).a_invariant == 0
 
     def test_maximal_ideal(self):
-        ideal = facet_ideal(Board(1, 3))
-        series = hilbert_series(ideal)
+        series = self.series(facet_ideal(Board(1, 3)))
         assert series.numerator == (1,) and series.denominator_power == 0
 
     def test_zero_ideal_full_ring(self):
-        series = hilbert_series(MonomialIdeal.zero(V2))
+        series = hilbert_series(BettiTable("quotient", 2, DEFAULT_FIELD, {(0, 0): 1}))
         assert series.numerator == (1,) and series.denominator_power == 2
         assert series.a_invariant == -2
 
-    def test_rejects_non_squarefree(self):
-        with pytest.raises(ValueError):
-            hilbert_series(facet_ideal(Board(2, 2)) ** 2)
+    def test_extra_ambient_extends_the_denominator(self):
+        series = self.series(EDGE, ambient_count=5)
+        assert series.numerator == (1, 1) and series.denominator_power == 4
+
+    def test_square_of_an_edge(self):
+        # S/(x^2 y^2) in two variables: (1 - t^4)/(1 - t)^2 = (1 + t + t^2 + t^3)/(1 - t)
+        square = min_gens([Monomial(V2, (2, 2))], V2)
+        series = self.series(square)
+        assert series.numerator == (1, 1, 1, 1) and series.denominator_power == 1
+        assert series.a_invariant == 2
+
+    def test_rejects_an_ideal_table(self):
+        with pytest.raises(ValueError, match="quotient table"):
+            hilbert_series(betti_table(EDGE))
+
+    @pytest.mark.parametrize("kind", ["facet", "stanley-reisner"])
+    def test_matches_f_vector_oracle_on_boards(self, kind):
+        build = facet_ideal if kind == "facet" else stanley_reisner_ideal
+        checked = 0
+        for m in range(1, 5):
+            for n in range(m, 5):
+                board = Board(m, n)
+                ideal = build(board)
+                if ideal.is_zero:
+                    continue
+                table = betti_table(ideal, symmetries=board_symmetries(board))
+                series = hilbert_series(table.quotient())
+                want = oracles.f_vector_series(ideal)
+                assert (series.numerator, series.denominator_power) == want, (m, n)
+                checked += 1
+        assert checked == (10 if kind == "facet" else 9)
+
+    @pytest.mark.parametrize("m, n, t", [(1, 3, 2), (1, 4, 3), (2, 2, 2), (2, 2, 3), (2, 3, 2), (2, 3, 3)])
+    def test_board_powers_match_the_polarization(self, m, n, t):
+        board = Board(m, n)
+        ideal = facet_ideal(board) ** t
+        series = hilbert_series(betti_table(ideal, symmetries=board_symmetries(board)).quotient())
+        polarized, added = oracles.polarization(ideal)
+        numerator, power = oracles.f_vector_series(polarized)
+        assert (series.numerator, series.denominator_power + added) == (numerator, power)
 
 
 class TestTerai:

@@ -151,6 +151,25 @@ class TestInvariantsCommand:
         assert code == 1 and out == ""
         assert "error: argument --threads" in err and len(err.splitlines()) == 1
 
+    def test_torsion_flag_reports_the_gf2_cross_run(self, capsys, monkeypatch):
+        from rookideal import GF2, BettiTable
+
+        _, out, _ = run_cli(capsys, "invariants", "--m", "2", "--n", "3")
+        assert json.loads(out)["torsion_warning"] is False
+        real = betti.betti_table
+
+        def doctored(ideal, field, *args):
+            table = real(ideal, field, *args)
+            if field != GF2:
+                return table
+            entries = dict(table.entries)
+            entries[(0, 1)] = 1
+            return BettiTable(table.subject, table.ambient, field, entries)
+
+        monkeypatch.setattr(betti, "betti_table", doctored)
+        _, out, _ = run_cli(capsys, "invariants", "--m", "2", "--n", "3")
+        assert json.loads(out)["torsion_warning"] is True
+
     def test_threads_flag_gives_same_numbers(self, capsys):
         _, one, _ = run_cli(capsys, "invariants", "--m", "2", "--n", "3", "--threads", "1")
         _, two, _ = run_cli(capsys, "invariants", "--m", "2", "--n", "3", "--threads", "2")

@@ -23,6 +23,7 @@ from rookideal import (
     betti_table_koszul,
     boundary_matrix,
     faces_of_dim,
+    hilbert_series,
     ideal_from_text,
     induced_matching_bound,
     min_gens,
@@ -239,6 +240,31 @@ def test_hochster_equals_koszul(ideal, rng):
         betti_table_hochster(ideal, DEFAULT_FIELD).entries
         == betti_table_koszul(ideal, DEFAULT_FIELD).entries
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(squarefree_ideals(max_vars=7, max_gens=5), st.integers(0, 2))
+def test_table_series_matches_f_vector_series(ideal, extra):
+    if ideal.is_unit:
+        return
+    ambient_count = ideal.ambient.count + extra
+    series = hilbert_series(betti_table(ideal).quotient(), ambient_count)
+    want = oracles.f_vector_series(ideal, ambient_count)
+    assert (series.numerator, series.denominator_power) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(ideals(max_vars=4, max_gens=4, max_exp=3), st.integers(0, 2))
+def test_table_series_matches_the_polarization(ideal, extra):
+    # polarizing adds variables that form a regular sequence of linear forms
+    # on the polarized quotient, so only the denominator power moves
+    if ideal.is_unit:
+        return
+    ambient_count = ideal.ambient.count + extra
+    series = hilbert_series(betti_table(ideal).quotient(), ambient_count)
+    polarized, added = oracles.polarization(ideal)
+    numerator, power = oracles.f_vector_series(polarized, polarized.ambient.count + extra)
+    assert (series.numerator, series.denominator_power + added) == (numerator, power)
 
 
 @settings(max_examples=40, deadline=None)
