@@ -11,8 +11,9 @@ Two revisions that print the same digest computed the same tables. The set:
 * board facet ideals, Stanley-Reisner ideals of chessboard complexes and
   board ideal powers, each with its symmetry group and without it.
 
-Every table is computed at 32003 and at GF(2), with the table cache cleared
-before each one. The digest covers each table's case, route, field,
+Every table is computed at 32003 and at GF(2); both fields of a (route,
+symmetry setting) pair come from one sweep, with the table cache cleared
+before it. The digest covers each table's case, route, field,
 symmetry setting and sorted entries, in a fixed order; the last line is
 ``sha256 <hex> tables <count>``.
 """
@@ -30,13 +31,12 @@ from rookideal import (
     Board,
     Monomial,
     VariableSet,
-    betti_table,
     board_symmetries,
     facet_ideal,
     min_gens,
     stanley_reisner_ideal,
 )
-from rookideal.betti import clear_table_cache
+from rookideal.betti import _planned_tables, clear_table_cache
 
 FACETS = ((2, 3), (2, 4), (3, 3), (3, 4))
 STANLEY_REISNER = ((2, 3), (3, 3), (3, 4))
@@ -82,13 +82,18 @@ def digest(cases) -> tuple[str, int]:
     the number of tables."""
     sha = hashlib.sha256()
     tables = 0
+    fields = (DEFAULT_FIELD, GF2)
     for name, ideal, symmetries in cases:
         routes = ("hochster", "koszul") if ideal.is_squarefree else ("koszul",)
         for route in routes:
-            for field in (DEFAULT_FIELD, GF2):
-                for perms in ([symmetries, None] if symmetries else [None]):
-                    clear_table_cache()
-                    entries = sorted(betti_table(ideal, field, route, perms).entries.items())
+            settings = [symmetries, None] if symmetries else [None]
+            swept = []
+            for perms in settings:
+                clear_table_cache()
+                swept.append(_planned_tables(route, ideal, fields, perms, 1))
+            for k, field in enumerate(fields):
+                for perms, pair in zip(settings, swept):
+                    entries = sorted(pair[k].entries.items())
                     key = (name, route, field.characteristic, perms is not None, entries)
                     sha.update(repr(key).encode() + b"\n")
                     tables += 1

@@ -35,16 +35,18 @@ is dropped. A core that is a join of simplex boundaries is a sphere, with one
 copy of the field in a dimension its vertex and part counts give; the plan
 adds such jobs to the table in closed form, the same for every field. Every
 other core is kept once, with the (degree, orbit size) of each job that has
-it, and is reduced once per field. The last plan built is kept, so a report
-cross-checked at 32003 and GF(2) builds it once; clear_table_cache() drops it
-with the cached tables. The minimal primes (their complements are the facets
-of the squarefree route's complex; their sizes give a report's height, dim
-and bight) are not kept: each call finds them afresh by Berge's sequential
-transversal method. A report reads the Hilbert series, and so the
-a-invariant, off the quotient table, and checks that the pole order of the
-series is the dim the primes give. The distinct cores can be fanned out over
-processes; the reduction is a plain sum, so the result is schedule
-independent.
+it. One sweep serves every field asked for at once: it enumerates each
+distinct core's faces once and reduces them at each prime while they are in
+hand, so only one core's faces are held at a time. Nothing but the finished
+tables is kept; clear_table_cache() drops them. A cross-checked report
+sweeps once for its two fields, 32003 and GF(2), and finds the minimal
+primes once (their complements are the facets of the squarefree route's
+complex; their sizes give the report's height, dim and bight), by Berge's
+sequential transversal method, handing them to the plan. A report reads the
+Hilbert series, and so the a-invariant, off the quotient table, and checks
+that the pole order of the series is the dim the primes give. The distinct
+cores can be fanned out over processes; the reduction is a plain sum, so the
+result is schedule independent.
 """
 
 from __future__ import annotations
@@ -67,9 +69,8 @@ _TABLE_CACHE: dict[tuple, "BettiTable"] = {}
 
 
 def clear_table_cache():
-    """Forget every cached table and the kept sweep plan."""
+    """Forget every cached table."""
     _TABLE_CACHE.clear()
-    _PLAN_MEMO.clear()
 
 
 class BettiTable:
@@ -568,16 +569,14 @@ def _gather(route: str, jobs) -> _SweepPlan:
     return _SweepPlan(spheres, list(cores.items()))
 
 
-# The last plan built is kept, so that the second field of a cross-checked
-# report reuses it. Only the core facets are kept; their faces are
-# enumerated again per field, so a plan stays small.
-_PLAN_MEMO: dict[tuple, _SweepPlan] = {}
-
-
-def _hochster_plan(ideal: MonomialIdeal, symmetries) -> _SweepPlan:
+def _hochster_plan(ideal: MonomialIdeal, symmetries, primes=None) -> _SweepPlan:
+    """The restriction sweep's plan; ``primes``, the ideal's minimal primes,
+    are found here unless the caller has them already."""
     count = ideal.ambient.count
     full = (1 << count) - 1
-    delta_facets = {full & ~_mask_of(p) for p in ideal.minimal_primes()}
+    if primes is None:
+        primes = ideal.minimal_primes()
+    delta_facets = {full & ~_mask_of(p) for p in primes}
     gens = [g.support_mask() for g in ideal.gens]
     images = _symmetry_images(gens, symmetries, 1, list(range(count)))
     return _gather(
@@ -618,39 +617,32 @@ def _koszul_plan(ideal: MonomialIdeal, symmetries) -> _SweepPlan:
     return _gather("koszul", jobs)
 
 
-def _sweep_plan(route: str, ideal: MonomialIdeal, symmetries) -> _SweepPlan:
-    key = (
-        route,
-        ideal.ambient.labels,
-        tuple(g.exponents for g in ideal.gens),
-        tuple(map(tuple, symmetries or ())),
-    )
-    plan = _PLAN_MEMO.get(key)
-    if plan is None:
-        build = _hochster_plan if route == "hochster" else _koszul_plan
-        plan = build(ideal, symmetries)
-        _PLAN_MEMO.clear()
-        _PLAN_MEMO[key] = plan
-    return plan
+def _sweep_plan(route: str, ideal: MonomialIdeal, symmetries, primes=None) -> _SweepPlan:
+    if route == "hochster":
+        return _hochster_plan(ideal, symmetries, primes)
+    return _koszul_plan(ideal, symmetries)
 
 
-def _sweep_chunk(route: str, cores, p: int) -> dict:
-    """The table entries over GF(p) of some of a plan's distinct cores: each
-    core is reduced once, and each of its reduced Betti numbers v counts
-    v * orbit size at every placement (degree, orbit size) of the core, in
-    the homological degree _homological_index gives."""
-    field = FieldSpec(p)
-    out: dict[tuple[int, int], int] = {}
+def _sweep_chunk(route: str, cores, primes) -> list[dict]:
+    """The table entries of some of a plan's distinct cores over GF(p), one
+    dict for each p in ``primes``: each core's faces are enumerated once and
+    reduced at every prime while they are in hand, and each reduced Betti
+    number v counts v * orbit size at every placement (degree, orbit size) of
+    the core, in the homological degree _homological_index gives."""
+    fields = [FieldSpec(p) for p in primes]
+    outs: list[dict[tuple[int, int], int]] = [{} for _ in primes]
     for facets, placements in cores:
-        for d, v in betti_of_face_masks(faces_by_dim_masks(facets), field).items():
-            if not v:
-                continue
-            for degree, weight in placements:
-                i = _homological_index(route, degree, d)
-                if i >= 0:
-                    key = (i, degree)
-                    out[key] = out.get(key, 0) + v * weight
-    return out
+        by_dim = faces_by_dim_masks(facets)
+        for field, out in zip(fields, outs):
+            for d, v in betti_of_face_masks(by_dim, field).items():
+                if not v:
+                    continue
+                for degree, weight in placements:
+                    i = _homological_index(route, degree, d)
+                    if i >= 0:
+                        key = (i, degree)
+                        out[key] = out.get(key, 0) + v * weight
+    return outs
 
 
 # the names the two routes look the worker up under, so that either can be
@@ -658,22 +650,25 @@ def _sweep_chunk(route: str, cores, p: int) -> dict:
 _hochster_chunk = _koszul_chunk = _sweep_chunk
 
 
-def _map_chunks(worker, static, jobs, p: int, threads: int) -> dict:
+def _map_chunks(worker, static, jobs, primes, threads: int) -> list[dict]:
+    """worker(static, chunk, primes) over chunks of the jobs, on ``threads``
+    processes when there are enough jobs; its dicts summed per prime."""
     if threads <= 1 or len(jobs) < 8 * threads:
-        parts = [worker(static, jobs, p)]
+        parts = [worker(static, jobs, primes)]
     else:
         nchunks = threads * 4
         chunks = [jobs[k::nchunks] for k in range(nchunks)]
         chunks = [c for c in chunks if c]
         with ProcessPoolExecutor(max_workers=threads) as pool:
             parts = list(
-                pool.map(worker, itertools.repeat(static), chunks, itertools.repeat(p))
+                pool.map(worker, itertools.repeat(static), chunks, itertools.repeat(primes))
             )
-    total: dict[tuple[int, int], int] = {}
+    totals: list[dict[tuple[int, int], int]] = [{} for _ in primes]
     for part in parts:
-        for key, v in part.items():
-            total[key] = total.get(key, 0) + v
-    return total
+        for total, entries in zip(totals, part):
+            for key, v in entries.items():
+                total[key] = total.get(key, 0) + v
+    return totals
 
 
 # ---------------------------------------------------------------------------
@@ -688,9 +683,7 @@ def betti_table_hochster(
 ) -> BettiTable:
     """Betti table of a squarefree ideal via restrictions of its monomial-free
     complex, swept over the union closure of the generator supports."""
-    if not ideal.is_squarefree:
-        raise ValueError("the restriction sweep requires a squarefree ideal")
-    return _planned_table("hochster", ideal, field, symmetries, threads)
+    return _planned_tables("hochster", ideal, [field], symmetries, threads)[0]
 
 
 def betti_table_koszul(
@@ -701,23 +694,38 @@ def betti_table_koszul(
 ) -> BettiTable:
     """Betti table of any monomial ideal via upper Koszul subcomplexes over the
     lcm lattice of the generators."""
-    return _planned_table("koszul", ideal, field, symmetries, threads)
+    return _planned_tables("koszul", ideal, [field], symmetries, threads)[0]
 
 
-def _planned_table(route: str, ideal: MonomialIdeal, field: FieldSpec, symmetries, threads: int):
+def _planned_tables(route: str, ideal: MonomialIdeal, fields, symmetries, threads: int, primes=None):
+    """The route's tables of the ideal over each of ``fields``, in order. The
+    ones not cached yet come from one sweep of one plan, and are cached;
+    ``primes`` are the ideal's minimal primes, if the caller has them (only
+    the restriction sweep uses them)."""
+    if route == "hochster" and not ideal.is_squarefree:
+        raise ValueError("the restriction sweep requires a squarefree ideal")
     if ideal.is_zero or ideal.is_unit:
         raise ValueError("need a nonzero proper ideal")
-    key = _cache_key(ideal, field, route, symmetries)
-    if key in _TABLE_CACHE:
-        return _TABLE_CACHE[key]
-    plan = _sweep_plan(route, ideal, symmetries)
-    worker = _hochster_chunk if route == "hochster" else _koszul_chunk
-    entries = _map_chunks(worker, route, plan.cores, field.characteristic, threads)
-    for entry, v in plan.spheres.items():
-        entries[entry] = entries.get(entry, 0) + v
-    table = BettiTable("ideal", ideal.ambient.count, field, entries)
-    _TABLE_CACHE[key] = table
-    return table
+    keys = [_cache_key(ideal, field, route, symmetries) for field in fields]
+    missing = {key: field for key, field in zip(keys, fields) if key not in _TABLE_CACHE}
+    if missing:
+        plan = _sweep_plan(route, ideal, symmetries, primes)
+        worker = _hochster_chunk if route == "hochster" else _koszul_chunk
+        characteristics = [field.characteristic for field in missing.values()]
+        parts = _map_chunks(worker, route, plan.cores, characteristics, threads)
+        for (key, field), entries in zip(missing.items(), parts):
+            for entry, v in plan.spheres.items():
+                entries[entry] = entries.get(entry, 0) + v
+            _TABLE_CACHE[key] = BettiTable("ideal", ideal.ambient.count, field, entries)
+    return [_TABLE_CACHE[key] for key in keys]
+
+
+def _resolved_route(ideal: MonomialIdeal, route: str) -> str:
+    if route == "auto":
+        return "hochster" if ideal.is_squarefree else "koszul"
+    if route not in ("hochster", "koszul"):
+        raise ValueError(f"unknown route {route!r}")
+    return route
 
 
 def betti_table(
@@ -727,13 +735,9 @@ def betti_table(
     symmetries=None,
     threads: int = 1,
 ) -> BettiTable:
-    if route == "auto":
-        route = "hochster" if ideal.is_squarefree else "koszul"
-    if route == "hochster":
-        return betti_table_hochster(ideal, field, symmetries, threads)
-    if route == "koszul":
-        return betti_table_koszul(ideal, field, symmetries, threads)
-    raise ValueError(f"unknown route {route!r}")
+    route = _resolved_route(ideal, route)
+    build = betti_table_hochster if route == "hochster" else betti_table_koszul
+    return build(ideal, field, symmetries, threads)
 
 
 def _cache_key(ideal: MonomialIdeal, field: FieldSpec, route: str, symmetries):
@@ -864,12 +868,18 @@ def invariant_report(
     if ambient_count < len(ideal.support()):
         raise ValueError("declared ambient is smaller than the support")
     start = time.perf_counter()
+    route = _resolved_route(ideal, route)
+    primes = ideal.radical().minimal_primes()
+    fields = [field]
+    if cross_check:
+        fields.append(GF2 if field.characteristic != 2 else DEFAULT_FIELD)
+    # one sweep for every field; the table calls below find the tables cached
+    _planned_tables(route, ideal, fields, symmetries, threads, primes)
     table = betti_table(ideal, field, route, symmetries, threads)
     quotient = table.quotient()
     reg = quotient.reg()
     pd = quotient.pd()
     depth = ambient_count - pd
-    primes = ideal.radical().minimal_primes()
     sizes = [len(p) for p in primes]
     height = min(sizes)
     bight = max(sizes)
@@ -886,8 +896,7 @@ def invariant_report(
         )
     warning = False
     if cross_check:
-        other = GF2 if field.characteristic != 2 else DEFAULT_FIELD
-        other_table = betti_table(ideal, other, route, symmetries, threads)
+        other_table = betti_table(ideal, fields[1], route, symmetries, threads)
         warning = other_table.entries != table.entries
     return InvariantReport(
         reg=reg,

@@ -238,41 +238,107 @@ class TestInvariantReport:
             invariant_report(facet_ideal(Board(3, 3)))
 
 
+def _plans_built(monkeypatch) -> dict:
+    """Patch the two plan builders to record every plan they build, per route."""
+    from rookideal import betti
+
+    built = {"hochster": [], "koszul": []}
+    for route, plans in built.items():
+        build = getattr(betti, f"_{route}_plan")
+
+        def recorded(*args, plans=plans, build=build):
+            plans.append(None)  # a build that raises still counts
+            plans[-1] = build(*args)
+            return plans[-1]
+
+        monkeypatch.setattr(betti, f"_{route}_plan", recorded)
+    return built
+
+
+def _counts(built: dict) -> dict:
+    return {route: len(plans) for route, plans in built.items()}
+
+
 class TestSweepPlan:
     @pytest.fixture
-    def plan_counts(self, monkeypatch):
+    def built(self, monkeypatch):
         from rookideal import betti
 
         betti.clear_table_cache()
-        counts = {"hochster": 0, "koszul": 0}
-        for route in counts:
-            build = getattr(betti, f"_{route}_plan")
-
-            def counted(*args, route=route, build=build):
-                counts[route] += 1
-                return build(*args)
-
-            monkeypatch.setattr(betti, f"_{route}_plan", counted)
-        yield counts
+        yield _plans_built(monkeypatch)
         betti.clear_table_cache()
 
-    def test_cross_checked_report_builds_one_plan_per_route(self, plan_counts):
+    def test_cross_checked_report_builds_one_plan_per_route(self, built):
         board = Board(2, 3)
         perms = board_symmetries(board)
         report = invariant_report(facet_ideal(board) ** 2, symmetries=perms, cross_check=True)
         assert not report.torsion_warning
-        assert plan_counts == {"hochster": 0, "koszul": 1}
+        assert _counts(built) == {"hochster": 0, "koszul": 1}
         invariant_report(facet_ideal(board), symmetries=perms, cross_check=True)
-        assert plan_counts == {"hochster": 1, "koszul": 1}
+        assert _counts(built) == {"hochster": 1, "koszul": 1}
 
-    def test_dual_char_report_builds_one_plan(self, plan_counts):
+    def test_dual_char_report_builds_one_plan(self, built):
         from rookideal.verify import _dual_char_report
 
         report = _dual_char_report(fixture_ideal("L_six"))
         assert report.reg == 2 and not report.torsion_warning
-        assert sum(plan_counts.values()) == 1
+        assert sum(_counts(built).values()) == 1
 
-    def test_other_symmetries_get_a_fresh_plan_and_check(self, plan_counts):
+    def test_cross_checked_report_is_one_pass(self, built, monkeypatch):
+        # one cover search, and each distinct core's faces built once and
+        # reduced once at each of the two primes
+        from rookideal import betti, complexes
+        from rookideal.homology import betti_of_face_masks, faces_by_dim_masks
+
+        calls = {"covers": 0, "faces": [], "reduce": []}
+        covers = complexes.minimal_vertex_covers
+
+        def counted_covers(cx):
+            calls["covers"] += 1
+            return covers(cx)
+
+        def counted_faces(facets):
+            calls["faces"].append(tuple(sorted(facets)))
+            return faces_by_dim_masks(facets)
+
+        def counted_reduce(by_dim, field):
+            faces = tuple(sorted(m for ms in by_dim.values() for m in ms))
+            calls["reduce"].append((faces, field.characteristic))
+            return betti_of_face_masks(by_dim, field)
+
+        monkeypatch.setattr(complexes, "minimal_vertex_covers", counted_covers)
+        monkeypatch.setattr(betti, "faces_by_dim_masks", counted_faces)
+        monkeypatch.setattr(betti, "betti_of_face_masks", counted_reduce)
+        board = Board(3, 4)
+        report = invariant_report(facet_ideal(board), symmetries=board_symmetries(board), cross_check=True)
+        assert (report.reg, report.depth, report.torsion_warning) == (4, 4, False)
+        assert _counts(built) == {"hochster": 1, "koszul": 0}
+        assert calls["covers"] == 1
+        cores = [core for core, _ in built["hochster"][0].cores]
+        assert len(cores) == 16
+        assert sorted(calls["faces"]) == sorted(cores)
+        assert len(calls["reduce"]) == len(set(calls["reduce"])) == 2 * len(cores)
+        assert {p for _, p in calls["reduce"]} == {2, 32003}
+
+    def test_threads_match_serial_on_a_cross_checked_report(self, built):
+        # the 3x5 board ideal has enough distinct cores for two workers
+        from rookideal import betti
+
+        board = Board(3, 5)
+        ideal, perms = facet_ideal(board), board_symmetries(board)
+        runs = []
+        for threads in (1, 2):
+            betti.clear_table_cache()
+            report = invariant_report(ideal, symmetries=perms, threads=threads, cross_check=True)
+            report.wall_ms = 0.0
+            tables = [betti_table(ideal, field, symmetries=perms) for field in (DEFAULT_FIELD, GF2)]
+            runs.append((report, tables))
+        assert len(built["hochster"][0].cores) >= 8 * 2
+        assert _counts(built) == {"hochster": 2, "koszul": 0}
+        assert runs[0] == runs[1]
+        assert (runs[0][0].reg, runs[0][0].depth, runs[0][0].torsion_warning) == (4, 4, False)
+
+    def test_other_symmetries_get_a_fresh_plan_and_check(self, built):
         board = Board(2, 3)
         ideal = facet_ideal(board) ** 2
         betti_table_koszul(ideal, DEFAULT_FIELD, symmetries=board_symmetries(board))
@@ -282,18 +348,21 @@ class TestSweepPlan:
                 betti_table_koszul(ideal, GF2, symmetries=[swap])
         with pytest.raises(ValueError, match="not a permutation"):
             betti_table_koszul(ideal, GF2, symmetries=[(0,) * 6])
-        assert plan_counts["koszul"] == 4
+        assert _counts(built)["koszul"] == 4
 
-    def test_clear_table_cache_drops_the_plan(self, plan_counts):
+    def test_clear_table_cache_drops_every_table(self, built):
+        # only tables are kept: a field asked for alone sweeps afresh, and a
+        # cleared table is swept again
         from rookideal import betti
 
         ideal = facet_ideal(Board(2, 3)) ** 2
         betti_table_koszul(ideal)
-        assert len(betti._PLAN_MEMO) == 1
-        betti.clear_table_cache()
-        assert not betti._PLAN_MEMO and not betti._TABLE_CACHE
         betti_table_koszul(ideal, GF2)
-        assert plan_counts["koszul"] == 2
+        assert _counts(built)["koszul"] == 2 and len(betti._TABLE_CACHE) == 2
+        betti.clear_table_cache()
+        assert not betti._TABLE_CACHE
+        betti_table_koszul(ideal, GF2)
+        assert _counts(built)["koszul"] == 3
 
     def test_threads_match_serial_on_the_lattice_route(self):
         from rookideal.betti import clear_table_cache
@@ -306,18 +375,16 @@ class TestSweepPlan:
         threaded = betti_table_koszul(ideal, symmetries=board_symmetries(board), threads=2)
         assert serial.entries == threaded.entries and serial.quotient().reg() == 6
 
-    def test_second_call_returns_the_cached_table(self, plan_counts):
-        from rookideal import betti
-
+    def test_second_call_returns_the_cached_table(self, built):
         # the 2x3 board ideal's tables mix sphere entries and reduced cores
         ideal = facet_ideal(Board(2, 3))
         for route in (betti_table_hochster, betti_table_koszul):
             for field in (DEFAULT_FIELD, GF2):
                 first = route(ideal, field)
                 assert route(ideal, field) is first
-        plan = next(iter(betti._PLAN_MEMO.values()))
-        assert plan.spheres and plan.cores
-        assert plan_counts == {"hochster": 1, "koszul": 1}
+        for plans in built.values():
+            assert all(plan.spheres and plan.cores for plan in plans)
+        assert _counts(built) == {"hochster": 2, "koszul": 2}
 
     def test_cached_table_still_checks_symmetries(self):
         from rookideal.betti import clear_table_cache
@@ -621,22 +688,24 @@ class TestStrongCore:
         def reduced_jobs(plan):
             return sum(len(placements) for _, placements in plan.cores)
 
+        built = _plans_built(monkeypatch)
         ideals = [facet_ideal(Board(2, 3)) ** 2, facet_ideal(Board(2, 3))]
         ideals += _random_squarefree_ideals(6, 7, seed=4)
         shrunk = 0
         for ideal in ideals:
             routes = [betti_table_koszul] + ([betti_table_hochster] if ideal.is_squarefree else [])
             for route in routes:
+                plans = built[route.__name__.rsplit("_", 1)[1]]
                 for field in (DEFAULT_FIELD, GF2):
                     betti.clear_table_cache()
                     cored = route(ideal, field)
-                    cored_plan = next(iter(betti._PLAN_MEMO.values()))
+                    cored_plan = plans[-1]
                     with monkeypatch.context() as patched:
                         patched.setattr(betti, "_strong_core", lambda facets: tuple(sorted(set(facets))))
                         patched.setattr(betti, "_sphere_dimension", lambda facets: None)
                         betti.clear_table_cache()
                         full = route(ideal, field)
-                        full_plan = next(iter(betti._PLAN_MEMO.values()))
+                        full_plan = plans[-1]
                     assert cored.entries == full.entries
                     assert not full_plan.spheres
                     assert reduced_jobs(cored_plan) <= reduced_jobs(full_plan)
@@ -704,30 +773,39 @@ class TestSphereCores:
         assert betti._sphere_dimension(graph) is None
         assert self.reduced(graph, DEFAULT_FIELD) == {0: 1, 1: 2}
 
-    def test_plan_reduces_each_distinct_core_once(self, monkeypatch):
+    def test_one_sweep_reduces_each_distinct_core_once_per_prime(self, monkeypatch):
         from rookideal import betti
-        from rookideal.homology import betti_of_face_masks
+        from rookideal.homology import betti_of_face_masks, faces_by_dim_masks
 
-        seen = []
+        built = _plans_built(monkeypatch)
+        faces, reduced = [], []
 
-        def counted(by_dim, field):
-            seen.append((tuple(sorted(m for faces in by_dim.values() for m in faces)), field))
+        def counted_faces(facets):
+            faces.append(tuple(sorted(facets)))
+            return faces_by_dim_masks(facets)
+
+        def counted_reduce(by_dim, field):
+            reduced.append((tuple(sorted(m for ms in by_dim.values() for m in ms)), field))
             return betti_of_face_masks(by_dim, field)
 
-        monkeypatch.setattr(betti, "betti_of_face_masks", counted)
+        monkeypatch.setattr(betti, "faces_by_dim_masks", counted_faces)
+        monkeypatch.setattr(betti, "betti_of_face_masks", counted_reduce)
         shared = 0
         for ideal in _random_squarefree_ideals(20, 7, seed=9):
-            for route in (betti_table_hochster, betti_table_koszul):
+            for route in ("hochster", "koszul"):
                 betti.clear_table_cache()
-                seen.clear()
-                for field in (DEFAULT_FIELD, GF2):
-                    route(ideal, field)
-                plan = next(iter(betti._PLAN_MEMO.values()))
-                assert len(seen) == len(set(seen)) == 2 * len(plan.cores)
+                faces.clear()
+                reduced.clear()
+                tables = betti._planned_tables(route, ideal, [DEFAULT_FIELD, GF2], None, 1)
+                assert [t.field for t in tables] == [DEFAULT_FIELD, GF2]
+                plan = built[route][-1]
+                assert sorted(faces) == sorted(core for core, _ in plan.cores)
+                assert len(reduced) == len(set(reduced)) == 2 * len(plan.cores)
                 for core, placements in plan.cores:
                     assert betti._sphere_dimension(core) is None
                     shared += len(placements) > 1
         betti.clear_table_cache()
+        assert sum(map(len, built.values())) == 40
         assert shared  # some core stands for several jobs
 
     def test_threads_match_serial_with_spheres_and_repeated_cores(self):
