@@ -9,7 +9,8 @@ Two revisions that print the same digest computed the same tables. The set:
 * random ideals on 3 to 10 variables from a fixed seed, half squarefree
   (both routes) and half not (the lcm-lattice route);
 * board facet ideals, Stanley-Reisner ideals of chessboard complexes and
-  board ideal powers, each with its symmetry group and without it.
+  board ideal powers, each with the generators of its symmetry group and
+  without them.
 
 Every table is computed at 32003 and at GF(2); both fields of a (route,
 symmetry setting) pair come from one sweep, with the table cache cleared

@@ -8,26 +8,26 @@ Two independent routes produce the table of an ideal:
   exponent vectors and takes reduced homology of the upper Koszul subcomplex
   at each lattice point.
 
-Both sweeps accept an optional symmetry group (variable permutations fixing
-the generator set, closed under composition; repeats are allowed); orbits
-then share one homology computation. A list that is not closed under
-composition raises ValueError: its image sets are not orbits, so their
-sizes would weigh the jobs wrongly.
+Both sweeps accept optional symmetries: variable permutations fixing the
+generator set. The sweep grows the group they generate once, by Dimino's
+method, so a generating set is enough and repeats do no harm; orbits of that
+group then share one homology computation.
 
 A table is a sweep plan evaluated at a prime. The plan is the part that does
-not depend on the field: the symmetry check, the lattice points (exponent
-vectors packed into one int each, joined by a SWAR max), one job per orbit
-and each orbit's complex, degree and size. Without symmetries the lattice is
-closed a generator at a time and every point is a job. With symmetries the
-lattice is never closed or sorted: the sweep starts from the generators'
-orbits and joins each new orbit representative with every generator, and a
-point is mapped through every permutation by per-chunk image tables (the
-images of every 4-bit chunk value under every permutation, built once). Both
-inner loops apply one point to a fixed list, so the list is packed once into
-64-bit lanes of one int (wider lanes for points past 64 bits): a
-representative is joined with every generator, and a point mapped through
-every permutation, by a few big-int operations and one unpack. The symmetry
-check tests only the permutations that generate the group. Each complex
+not depend on the field: the symmetry group and its check, the lattice
+points (exponent vectors packed into one int each, joined by a SWAR max),
+one job per orbit and each orbit's complex, degree and size. Without
+symmetries the lattice is closed a generator at a time and every point is a
+job. With symmetries the lattice is never closed or sorted: the sweep starts
+from the generators' orbits and joins each new orbit representative with
+every generator, and a point is mapped through every member of the group by
+per-chunk image tables (the images of every 4-bit chunk value under every
+member, built once). Both inner loops apply one point to a fixed list, so
+the list is packed once into 64-bit lanes of one int (wider lanes for points
+past 64 bits): a representative is joined with every generator, and a point
+mapped through every member, by a few big-int operations and one unpack.
+The symmetry check tests only the permutations that Dimino's method takes as
+generators. Each complex
 is cut to its strong core: dominated vertices (another vertex lies in every
 facet through them) are deleted one at a time, which keeps the homotopy type
 and so the reduced homology over every field, and a job whose core is a point
@@ -287,12 +287,6 @@ def _closure(gens, joins) -> list[int]:
     return sorted(lattice)
 
 
-def _join_closure(gens: list[int], width: int, count: int) -> list[int]:
-    """The lcm lattice of packed exponent vectors: their closure under
-    coordinatewise max, sorted."""
-    return _closure(gens, _swar_joins(width, count))
-
-
 def _image_tables(perms, width: int, offsets: list[int]):
     """images(x): the images of the packed point x under every permutation
     (variable i moves to perm[i]), in the order of ``perms``.
@@ -334,15 +328,14 @@ def _image_tables(perms, width: int, offsets: list[int]):
 
 
 def _symmetry_images(gens: list[int], perms, width: int, offsets: list[int]):
-    """The image tables of the distinct permutations in ``perms`` (see
-    _image_tables); None without permutations. Raises ValueError unless the
-    permutations are closed under composition and every generator of the
-    group they form (see _require_group) is a permutation of the variables
-    that fixes the generating set: the sweep weighs each orbit
-    representative by the size of its image set, which counts the orbit only
-    when the permutations form a group. Every member is a product of those
-    generators, so the generators alone show that every member is a
-    permutation and fixes the set."""
+    """The image tables (see _image_tables) of the group that the
+    permutations in ``perms`` generate; None without permutations. Raises
+    ValueError unless every permutation that _group takes as a generator is
+    a permutation of the variables that fixes the generating set. Every
+    member is a product of those generators, so they alone show that every
+    member is a permutation and fixes the set. The sweep weighs each orbit
+    representative by the size of its image set, which is its orbit because
+    the tables cover the whole group."""
     if not perms:
         return None
     count = len(offsets)
@@ -356,20 +349,16 @@ def _symmetry_images(gens: list[int], perms, width: int, offsets: list[int]):
             if image(g)[0] not in fixed:
                 raise ValueError("symmetry does not fix the generating set")
 
-    _require_group(perms, count, admit)
-    return _image_tables(list(dict.fromkeys(map(tuple, perms))), width, offsets)
+    return _image_tables(_group(perms, count, admit), width, offsets)
 
 
-def _require_group(perms, count: int, admit) -> None:
-    """Raise ValueError unless the permutations (repeats allowed) are closed
-    under composition. The group they generate is grown by Dimino's method:
-    a permutation not reached yet becomes a generator, is passed to admit
-    (which may raise) before anything is composed with it, and adds the
-    right cosets of the group so far, found by multiplying each coset
-    representative by every generator, so growing the group takes
-    O(|group| * |generators|) compositions. The first product outside the
-    list raises; so does a list without the identity."""
-    members = set(map(tuple, perms))
+def _group(perms, count: int, admit) -> list[tuple[int, ...]]:
+    """The group the permutations generate, each member once, grown by
+    Dimino's method: a permutation not reached yet becomes a generator, is
+    passed to admit (which may raise) before anything is composed with it,
+    and adds the right cosets of the group so far, found by multiplying each
+    coset representative by every generator, so growing the group takes
+    O(|group| * |generators|) compositions."""
     identity = tuple(range(count))
     group = [identity]
     reached = {identity}
@@ -377,16 +366,12 @@ def _require_group(perms, count: int, admit) -> None:
     def add_coset(subgroup, x):
         # the right coset {h x : h in subgroup}, x first (h = identity);
         # (h x)[i] = h[x[i]]
-        after_x = operator.itemgetter(*x)
-        for h in subgroup:
-            y = after_x(h)
-            if y not in members:
-                raise ValueError("symmetries are not closed under composition")
-            group.append(y)
-            reached.add(y)
+        coset = list(map(operator.itemgetter(*x), subgroup))
+        group.extend(coset)
+        reached.update(coset)
 
     gens = []  # itemgetters: times_t(r) = r t
-    for s in members:
+    for s in map(tuple, perms):
         if s in reached:
             continue
         admit(s)
@@ -402,8 +387,7 @@ def _require_group(perms, count: int, admit) -> None:
                 if x not in reached:
                     add_coset(subgroup, x)
             rep += len(subgroup)
-    if identity not in members:
-        raise ValueError("symmetries are not closed under composition: the identity is missing")
+    return group
 
 
 def _orbit_jobs(gens, join, images) -> list[tuple[int, int]]:
@@ -854,7 +838,6 @@ def invariant_report(
     ideal: MonomialIdeal,
     ambient_count: int | None = None,
     field: FieldSpec = DEFAULT_FIELD,
-    route: str = "auto",
     symmetries=None,
     threads: int = 1,
     cross_check: bool = False,
@@ -868,7 +851,7 @@ def invariant_report(
     if ambient_count < len(ideal.support()):
         raise ValueError("declared ambient is smaller than the support")
     start = time.perf_counter()
-    route = _resolved_route(ideal, route)
+    route = _resolved_route(ideal, "auto")
     primes = ideal.radical().minimal_primes()
     fields = [field]
     if cross_check:

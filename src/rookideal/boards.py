@@ -152,24 +152,25 @@ def subcomplex_d(board: Board, cols) -> SimplicialComplex:
 
 
 def board_symmetries(board: Board) -> list[tuple[int, ...]]:
-    """Variable permutations fixing the board ideals: row permutations times
-    column permutations, plus the transpose on square boards."""
+    """Generators of the group of variable permutations fixing the board
+    ideals, row permutations times column permutations, plus the transpose
+    on square boards: a swap and a cycle of the rows (one permutation when
+    m = 2, none when m = 1), the same for the columns, and the transpose
+    when m = n > 1. The Betti sweeps grow the group from them."""
     m, n = board.m, board.n
-    perms = []
-    for rho in itertools.permutations(range(1, m + 1)):
-        for gamma in itertools.permutations(range(1, n + 1)):
-            perm = [0] * (m * n)
-            for i in range(1, m + 1):
-                for j in range(1, n + 1):
-                    perm[board.cell(i, j)] = board.cell(rho[i - 1], gamma[j - 1])
-            perms.append(tuple(perm))
-            if m == n:
-                flipped = [0] * (m * n)
-                for i in range(1, m + 1):
-                    for j in range(1, n + 1):
-                        flipped[board.cell(i, j)] = board.cell(gamma[j - 1], rho[i - 1])
-                perms.append(tuple(flipped))
-    return perms
+
+    def moving(rows, cols):
+        # the permutation sending cell (i, j) to (rows[i], cols[j]), 0-based
+        return tuple(rows[i] * n + cols[j] for i in range(m) for j in range(n))
+
+    def swap_and_cycle(k):
+        return [(1, 0, *range(2, k)), (*range(1, k), 0)] if k > 1 else []
+
+    perms = [moving(rho, range(n)) for rho in swap_and_cycle(m)]
+    perms += [moving(range(m), gamma) for gamma in swap_and_cycle(n)]
+    if m == n > 1:
+        perms.append(tuple(j * n + i for i in range(m) for j in range(n)))
+    return list(dict.fromkeys(perms))
 
 
 # ---------------------------------------------------------------------------

@@ -58,10 +58,6 @@ class SimplicialComplex:
     def facet_masks(self) -> tuple[int, ...]:
         return tuple(_mask_of(f) for f in self.facets)
 
-    def contains_face(self, face) -> bool:
-        m = _mask_of(face)
-        return any(m & f == m for f in self.facet_masks())
-
     def induced(self, subset) -> "SimplicialComplex":
         """Induced subcomplex on a vertex subset: the faces contained in it."""
         a = _mask_of(subset)

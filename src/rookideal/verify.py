@@ -63,9 +63,7 @@ def _case(case_id, description, rule, expected, computed, t0) -> VerifyCase:
 
 def _dual_char_report(ideal, ambient=None, symmetries=None, threads=1):
     """Invariant report at 32003 with a GF(2) cross-run folded into the flag."""
-    return invariant_report(
-        ideal, ambient, DEFAULT_FIELD, "auto", symmetries, threads, cross_check=True
-    )
+    return invariant_report(ideal, ambient, DEFAULT_FIELD, symmetries, threads, cross_check=True)
 
 
 # ---------------------------------------------------------------------------

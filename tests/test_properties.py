@@ -152,7 +152,7 @@ def exponent_vectors(draw):
 def test_packed_join_closure_matches_tuple_closure(vectors):
     count = len(vectors[0])
     width = betti._field_width(vectors)
-    packed = betti._join_closure([betti._pack(v, width) for v in vectors], width, count)
+    packed = betti._closure([betti._pack(v, width) for v in vectors], betti._swar_joins(width, count))
     assert [betti._unpack(x, width, count) for x in packed] == oracles.tuple_join_closure(vectors)
 
 
