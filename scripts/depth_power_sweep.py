@@ -12,14 +12,12 @@ import sys
 import time
 
 from rookideal import Board, board_symmetries, facet_ideal, invariant_report
-from rookideal.cli import _thread_count
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n-max", type=int, default=4)
     parser.add_argument("--t-max", type=int, default=4)
-    parser.add_argument("--threads", type=_thread_count, default=1, help="worker processes, 1..CPU count")
     args = parser.parse_args()
 
     print(f"{'board':>8} " + " ".join(f"{'t=' + str(t):>12}" for t in range(1, args.t_max + 1)))
@@ -33,7 +31,7 @@ def main() -> int:
                 cells.append(f"{'-':>12}")
                 continue
             start = time.perf_counter()
-            rep = invariant_report(ideal**t, symmetries=syms, threads=args.threads)
+            rep = invariant_report(ideal**t, symmetries=syms)
             cells.append(f"r{rep.reg} d{rep.depth} {time.perf_counter() - start:5.1f}s".rjust(12))
         print(f"{f'2x{n}':>8} " + " ".join(cells))
     return 0

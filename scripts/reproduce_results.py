@@ -11,14 +11,12 @@ import json
 import sys
 import time
 
-from rookideal.cli import _thread_count
 from rookideal.verify import run_suite
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--long", action="store_true", help="include the stretch cases")
-    parser.add_argument("--threads", type=_thread_count, default=1, help="worker processes, 1..CPU count")
     parser.add_argument("--out", default=None, help="write the JSON report here")
     args = parser.parse_args()
 
@@ -26,7 +24,7 @@ def main() -> int:
     report = {"suites": {}, "failures": 0}
     start = time.perf_counter()
     for suite in suites:
-        cases = run_suite(suite, threads=args.threads)
+        cases = run_suite(suite)
         report["suites"][suite] = [
             {
                 "id": c.id,

@@ -91,7 +91,7 @@ def digest(cases) -> tuple[str, int]:
             swept = []
             for perms in settings:
                 clear_table_cache()
-                swept.append(_planned_tables(route, ideal, fields, perms, 1))
+                swept.append(_planned_tables(route, ideal, fields, perms))
             for k, field in enumerate(fields):
                 for perms, pair in zip(settings, swept):
                     entries = sorted(pair[k].entries.items())

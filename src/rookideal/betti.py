@@ -44,9 +44,10 @@ primes once (their complements are the facets of the squarefree route's
 complex; their sizes give the report's height, dim and bight), by Berge's
 sequential transversal method, handing them to the plan. A report reads the
 Hilbert series, and so the a-invariant, off the quotient table, and checks
-that the pole order of the series is the dim the primes give. The distinct
-cores can be fanned out over processes; the reduction is a plain sum, so the
-result is schedule independent.
+that the pole order of the series is the dim the primes give. A plan big
+enough to pay for a process pool has its distinct cores swept by one process
+per CPU the process may run on (taskset keeps it to one); the reduction is a
+plain sum, so the result is schedule independent.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ import functools
 import itertools
 import math
 import operator
+import os
 import sys
 import time
 from array import array
@@ -634,16 +636,41 @@ def _sweep_chunk(route: str, cores, primes) -> list[dict]:
 _hochster_chunk = _koszul_chunk = _sweep_chunk
 
 
-def _map_chunks(worker, static, jobs, primes, threads: int) -> list[dict]:
-    """worker(static, chunk, primes) over chunks of the jobs, on ``threads``
-    processes when there are enough jobs; its dicts summed per prime."""
-    if threads <= 1 or len(jobs) < 8 * threads:
-        parts = [worker(static, jobs, primes)]
+# A pool pays for its start-up and for pickling the cores only on big plans.
+# The sweep's work grows with the subsets of the cores' facets, sum 2^|facet|
+# over the distinct cores. Measured on a shared 2-vCPU guest, both fields,
+# the sweep alone, medians of 7: the 3x5, 3x6 and 4x4 board plans (40k, 170k
+# and 355k subsets) took 0.03, 0.12-0.14 and 0.11-0.14 s in one process and
+# 0.03-0.06, 0.08-0.10 and 0.09-0.17 s in two, a gain of a few hundredths at
+# best and a loss as often on 4x4, whose 31 cores split unevenly; the 4x5
+# plan (5.4M subsets) took 2.7 s in one and 1.25 s in two. Below about 1M
+# subsets a second process is not worth its memory.
+_POOL_MIN_SUBSETS = 1 << 20
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on: its affinity mask, so that taskset
+    or a cgroup cpuset keeps the sweep in one process."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _map_chunks(worker, static, cores, primes) -> list[dict]:
+    """worker(static, chunk, primes) over chunks of a plan's distinct cores,
+    its dicts summed per prime. The chunks go to one process per usable CPU
+    when there is more than one and the cores hold at least
+    _POOL_MIN_SUBSETS subsets; otherwise the worker takes every core here."""
+    subsets = sum(1 << f.bit_count() for facets, _ in cores for f in facets)
+    workers = min(_cpu_count(), len(cores)) if subsets >= _POOL_MIN_SUBSETS else 1
+    if workers <= 1:
+        parts = [worker(static, cores, primes)]
     else:
-        nchunks = threads * 4
-        chunks = [jobs[k::nchunks] for k in range(nchunks)]
+        nchunks = workers * 4
+        chunks = [cores[k::nchunks] for k in range(nchunks)]
         chunks = [c for c in chunks if c]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(
                 pool.map(worker, itertools.repeat(static), chunks, itertools.repeat(primes))
             )
@@ -663,25 +690,23 @@ def betti_table_hochster(
     ideal: MonomialIdeal,
     field: FieldSpec = DEFAULT_FIELD,
     symmetries=None,
-    threads: int = 1,
 ) -> BettiTable:
     """Betti table of a squarefree ideal via restrictions of its monomial-free
     complex, swept over the union closure of the generator supports."""
-    return _planned_tables("hochster", ideal, [field], symmetries, threads)[0]
+    return _planned_tables("hochster", ideal, [field], symmetries)[0]
 
 
 def betti_table_koszul(
     ideal: MonomialIdeal,
     field: FieldSpec = DEFAULT_FIELD,
     symmetries=None,
-    threads: int = 1,
 ) -> BettiTable:
     """Betti table of any monomial ideal via upper Koszul subcomplexes over the
     lcm lattice of the generators."""
-    return _planned_tables("koszul", ideal, [field], symmetries, threads)[0]
+    return _planned_tables("koszul", ideal, [field], symmetries)[0]
 
 
-def _planned_tables(route: str, ideal: MonomialIdeal, fields, symmetries, threads: int, primes=None):
+def _planned_tables(route: str, ideal: MonomialIdeal, fields, symmetries, primes=None):
     """The route's tables of the ideal over each of ``fields``, in order. The
     ones not cached yet come from one sweep of one plan, and are cached;
     ``primes`` are the ideal's minimal primes, if the caller has them (only
@@ -696,7 +721,7 @@ def _planned_tables(route: str, ideal: MonomialIdeal, fields, symmetries, thread
         plan = _sweep_plan(route, ideal, symmetries, primes)
         worker = _hochster_chunk if route == "hochster" else _koszul_chunk
         characteristics = [field.characteristic for field in missing.values()]
-        parts = _map_chunks(worker, route, plan.cores, characteristics, threads)
+        parts = _map_chunks(worker, route, plan.cores, characteristics)
         for (key, field), entries in zip(missing.items(), parts):
             for entry, v in plan.spheres.items():
                 entries[entry] = entries.get(entry, 0) + v
@@ -704,24 +729,15 @@ def _planned_tables(route: str, ideal: MonomialIdeal, fields, symmetries, thread
     return [_TABLE_CACHE[key] for key in keys]
 
 
-def _resolved_route(ideal: MonomialIdeal, route: str) -> str:
-    if route == "auto":
-        return "hochster" if ideal.is_squarefree else "koszul"
-    if route not in ("hochster", "koszul"):
-        raise ValueError(f"unknown route {route!r}")
-    return route
-
-
 def betti_table(
     ideal: MonomialIdeal,
     field: FieldSpec = DEFAULT_FIELD,
-    route: str = "auto",
     symmetries=None,
-    threads: int = 1,
 ) -> BettiTable:
-    route = _resolved_route(ideal, route)
-    build = betti_table_hochster if route == "hochster" else betti_table_koszul
-    return build(ideal, field, symmetries, threads)
+    """Betti table of any monomial ideal: by the restriction sweep when it is
+    squarefree, by the lattice sweep otherwise."""
+    build = betti_table_hochster if ideal.is_squarefree else betti_table_koszul
+    return build(ideal, field, symmetries)
 
 
 def _cache_key(ideal: MonomialIdeal, field: FieldSpec, route: str, symmetries):
@@ -839,7 +855,6 @@ def invariant_report(
     ambient_count: int | None = None,
     field: FieldSpec = DEFAULT_FIELD,
     symmetries=None,
-    threads: int = 1,
     cross_check: bool = False,
 ) -> InvariantReport:
     """Full invariant report of S/I. Variables beyond the ideal's own set raise
@@ -851,14 +866,14 @@ def invariant_report(
     if ambient_count < len(ideal.support()):
         raise ValueError("declared ambient is smaller than the support")
     start = time.perf_counter()
-    route = _resolved_route(ideal, "auto")
+    route = "hochster" if ideal.is_squarefree else "koszul"
     primes = ideal.radical().minimal_primes()
     fields = [field]
     if cross_check:
         fields.append(GF2 if field.characteristic != 2 else DEFAULT_FIELD)
     # one sweep for every field; the table calls below find the tables cached
-    _planned_tables(route, ideal, fields, symmetries, threads, primes)
-    table = betti_table(ideal, field, route, symmetries, threads)
+    _planned_tables(route, ideal, fields, symmetries, primes)
+    table = betti_table(ideal, field, symmetries)
     quotient = table.quotient()
     reg = quotient.reg()
     pd = quotient.pd()
@@ -879,7 +894,7 @@ def invariant_report(
         )
     warning = False
     if cross_check:
-        other_table = betti_table(ideal, fields[1], route, symmetries, threads)
+        other_table = betti_table(ideal, fields[1], symmetries)
         warning = other_table.entries != table.entries
     return InvariantReport(
         reg=reg,
@@ -904,13 +919,12 @@ def terai_check(
     ideal: MonomialIdeal,
     field: FieldSpec = DEFAULT_FIELD,
     symmetries=None,
-    threads: int = 1,
 ) -> bool:
     """pd(S/I) == reg of the Alexander dual, both sides computed from scratch
     through the lattice route."""
     ideal._require_squarefree_proper()
-    pd_quotient = betti_table_koszul(ideal, field, symmetries, threads).quotient().pd()
-    reg_dual = betti_table_koszul(ideal.alexander_dual(), field, symmetries, threads).reg()
+    pd_quotient = betti_table_koszul(ideal, field, symmetries).quotient().pd()
+    reg_dual = betti_table_koszul(ideal.alexander_dual(), field, symmetries).reg()
     return pd_quotient == reg_dual
 
 
@@ -940,14 +954,14 @@ class ColonStep:
     note: str = ""
 
 
-def _reg_for_bound(ideal: MonomialIdeal, field: FieldSpec, threads: int) -> int | None:
+def _reg_for_bound(ideal: MonomialIdeal, field: FieldSpec) -> int | None:
     """Ideal-level regularity with the conventions the recursions need:
     the unit ideal drops out (None), the zero ideal counts as reg(S) + 1."""
     if ideal.is_unit:
         return None
     if ideal.is_zero:
         return 1
-    return betti_table(ideal, field, "auto", None, threads).reg()
+    return betti_table(ideal, field).reg()
 
 
 def colon_sequence_reg_bound(
@@ -955,7 +969,6 @@ def colon_sequence_reg_bound(
     order,
     mode: str,
     field: FieldSpec = DEFAULT_FIELD,
-    threads: int = 1,
 ) -> tuple[int, tuple[ColonStep, ...]]:
     """Replay a colon recursion and return the max-formula regularity bound.
 
@@ -976,25 +989,25 @@ def colon_sequence_reg_bound(
         current = ideal
         for idx, f in enumerate(order, start=1):
             colon = current.colon(f)
-            creg = _reg_for_bound(colon, field, threads)
+            creg = _reg_for_bound(colon, field)
             term = None if creg is None else creg + f.degree
             trace.append(ColonStep(idx, str(f), f.degree, creg, term))
             if term is not None:
                 terms.append(term)
             current = current + min_gens([f], ideal.ambient)
-        tail = _reg_for_bound(current, field, threads)
+        tail = _reg_for_bound(current, field)
     elif mode == "peel":
         if sorted(m.exponents for m in order) != sorted(g.exponents for g in ideal.gens):
             raise ValueError("peel order must list the minimal generators exactly")
         for idx, u in enumerate(order, start=1):
             rest = min_gens(order[idx:], ideal.ambient)
             colon = rest.colon(u)
-            creg = _reg_for_bound(colon, field, threads)
+            creg = _reg_for_bound(colon, field)
             term = None if creg is None else creg + u.degree - 1
             trace.append(ColonStep(idx, str(u), u.degree, creg, term))
             if term is not None:
                 terms.append(term)
-        tail = _reg_for_bound(MonomialIdeal.zero(ideal.ambient), field, threads)
+        tail = _reg_for_bound(MonomialIdeal.zero(ideal.ambient), field)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     if tail is not None:

@@ -96,19 +96,10 @@ def minimal_primes_formula(board: Board) -> tuple[tuple[int, ...], ...]:
 
 
 def prime_profile(board: Board) -> tuple[int, int, int]:
-    """(height, dim, bight) of the facet ideal, from the closed forms; checked
-    against the enumerated prime sizes."""
-    m, n = board.m, board.n
-    height = n
-    dim = (m - 1) * n
-    if n < 2 * m - 1:
-        bight = (n + 1) ** 2 // 4
-    else:
-        bight = (n - m + 1) * m
+    """(height, dim, bight) of the facet ideal, from the sizes of the
+    closed-form minimal primes: the least size, m n less it, the largest."""
     sizes = [len(p) for p in minimal_primes_formula(board)]
-    if (height, dim, bight) != (min(sizes), m * n - min(sizes), max(sizes)):
-        raise AssertionError("closed-form prime profile disagrees with the enumerated primes")
-    return height, dim, bight
+    return min(sizes), board.m * board.n - min(sizes), max(sizes)
 
 
 def subcomplex_a(board: Board, i: int) -> SimplicialComplex:

@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage or input error (including a ValueError raised
-by the library), 2 verification failure, 3 resource guard tripped (rerun with
---allow-long).
+by the library), 2 verification failure (including an ArithmeticError raised
+by a consistency check of the library), 3 resource guard tripped (rerun with
+--allow-long). A sweep big enough to pay for it runs on one process per CPU
+that this process may use; run under taskset to keep it to one.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from .betti import betti_table_hochster, betti_table_koszul, invariant_report
@@ -56,20 +57,6 @@ def _checked_board(args, power=False) -> Board:
     if power and not (1 <= args.power <= 4):
         raise UsageError(f"need 1 <= power <= 4, got {args.power}")
     return Board(args.m, args.n)
-
-
-def _thread_count(text: str) -> int:
-    """--threads: a worker process count between 1 and the CPU count."""
-    cpus = os.cpu_count() or 1
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if not 1 <= value <= cpus:
-        raise argparse.ArgumentTypeError(
-            f"need 1 <= threads <= {cpus} (the CPU count), got {value}"
-        )
-    return value
 
 
 def _field(args) -> FieldSpec:
@@ -139,7 +126,6 @@ def cmd_invariants(args) -> int:
         ambient_count=args.ambient,
         field=_field(args),
         symmetries=board_symmetries(board),
-        threads=args.threads,
         cross_check=True,
     )
     payload = {"board": [board.m, board.n], "power": args.power, "subject": "quotient"}
@@ -164,9 +150,9 @@ def cmd_betti(args) -> int:
     if ideal.is_zero or ideal.is_unit:
         raise UsageError("the zero and unit ideals have no Betti table here")
     field = _field(args)
-    table = betti_table_koszul(ideal, field, threads=args.threads)
+    table = betti_table_koszul(ideal, field)
     if ideal.is_squarefree:
-        cross = betti_table_hochster(ideal, field, threads=args.threads)
+        cross = betti_table_hochster(ideal, field)
         if cross.entries != table.entries:
             sys.stderr.write("route mismatch: lattice and restriction sweeps disagree\n")
             return 2
@@ -186,7 +172,7 @@ def cmd_matching(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cases = run_suite(args.suite, threads=args.threads)
+    cases = run_suite(args.suite)
     width = max(len(c.id) for c in cases)
     failed = 0
     for case in cases:
@@ -219,13 +205,11 @@ def build_parser() -> _Parser:
     p.add_argument("--char", type=int, default=DEFAULT_FIELD.characteristic)
     p.add_argument("--ambient", type=int, default=None)
     p.add_argument("--allow-long", action="store_true")
-    p.add_argument("--threads", type=_thread_count, default=1)
     p.set_defaults(func=cmd_invariants)
 
     p = sub.add_parser("betti", help="Betti table of an ideal file ('-' for stdin)")
     p.add_argument("file")
     p.add_argument("--char", type=int, default=DEFAULT_FIELD.characteristic)
-    p.add_argument("--threads", type=_thread_count, default=1)
     p.set_defaults(func=cmd_betti)
 
     p = sub.add_parser("matching", help="induced-matching regularity lower bound")
@@ -235,7 +219,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="run a reproduction suite")
     p.add_argument("--suite", choices=("paper", "properties", "long"), default="paper")
-    p.add_argument("--threads", type=_thread_count, default=1)
     p.set_defaults(func=cmd_verify)
 
     return parser
@@ -252,6 +235,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    except ArithmeticError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
 
 
 if __name__ == "__main__":

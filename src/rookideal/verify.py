@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 from .betti import (
     betti_table,
+    betti_table_hochster,
+    betti_table_koszul,
     colon_sequence_reg_bound,
     invariant_report,
     sum_formula_predict,
@@ -61,9 +63,9 @@ def _case(case_id, description, rule, expected, computed, t0) -> VerifyCase:
     return VerifyCase(case_id, description, rule, expected, computed, status, time.perf_counter() - t0)
 
 
-def _dual_char_report(ideal, ambient=None, symmetries=None, threads=1):
+def _dual_char_report(ideal, ambient=None, symmetries=None):
     """Invariant report at 32003 with a GF(2) cross-run folded into the flag."""
-    return invariant_report(ideal, ambient, DEFAULT_FIELD, symmetries, threads, cross_check=True)
+    return invariant_report(ideal, ambient, DEFAULT_FIELD, symmetries, cross_check=True)
 
 
 # ---------------------------------------------------------------------------
@@ -80,11 +82,11 @@ def _formula_prime_count(m: int, n: int) -> int:
     return sum(math.comb(m, s) * math.comb(n, m - 1 - s) for s in range(m))
 
 
-def _board_power_case(n: int, t: int, expected_reg: int, expected_depth: int, m: int = 2, threads=1):
+def _board_power_case(n: int, t: int, expected_reg: int, expected_depth: int, m: int = 2):
     t0 = time.perf_counter()
     board = Board(m, n)
     ideal = facet_ideal(board) ** t
-    rep = _dual_char_report(ideal, symmetries=board_symmetries(board), threads=threads)
+    rep = _dual_char_report(ideal, symmetries=board_symmetries(board))
     expected = {"reg": expected_reg, "depth": expected_depth, "torsion": 0}
     computed = {"reg": rep.reg, "depth": rep.depth, "torsion": int(rep.torsion_warning)}
     return _case(
@@ -97,7 +99,7 @@ def _board_power_case(n: int, t: int, expected_reg: int, expected_depth: int, m:
     )
 
 
-def paper_suite(threads: int = 1):
+def paper_suite():
     cases = []
 
     for m, n in _DECOMP_BOARDS:
@@ -142,7 +144,7 @@ def paper_suite(threads: int = 1):
     for n, t in _POWER_ROW_CASES:
         t0 = time.perf_counter()
         board = Board(1, n)
-        rep = _dual_char_report(facet_ideal(board) ** t, threads=threads)
+        rep = _dual_char_report(facet_ideal(board) ** t)
         expected = {"reg": t - 1, "depth": 0, "torsion": 0}
         computed = {"reg": rep.reg, "depth": rep.depth, "torsion": int(rep.torsion_warning)}
         cases.append(
@@ -157,14 +159,12 @@ def paper_suite(threads: int = 1):
         )
 
     for n, t in _POWER_TWO_ROW_REGULAR:
-        cases.append(_board_power_case(n, t, 2 * t, 2, threads=threads))
+        cases.append(_board_power_case(n, t, 2 * t, 2))
 
     for n in (3, 4):
         t0 = time.perf_counter()
         board = Board(3, n)
-        rep = _dual_char_report(
-            facet_ideal(board), symmetries=board_symmetries(board), threads=threads
-        )
+        rep = _dual_char_report(facet_ideal(board), symmetries=board_symmetries(board))
         expected = {"reg": 4, "depth": 4, "torsion": 0}
         computed = {"reg": rep.reg, "depth": rep.depth, "torsion": int(rep.torsion_warning)}
         cases.append(
@@ -189,7 +189,7 @@ def paper_suite(threads: int = 1):
     for name, n, expected_reg in fixture_specs:
         t0 = time.perf_counter()
         ideal = fixture_ideal(name, n)
-        rep = _dual_char_report(ideal, threads=threads)
+        rep = _dual_char_report(ideal)
         suffix = "" if n is None else f"-n{n}"
         cases.append(
             _case(
@@ -206,9 +206,7 @@ def paper_suite(threads: int = 1):
         t0 = time.perf_counter()
         board = Board(m, n)
         value, witness = induced_matching_bound(chessboard_complex(board))
-        rep = _dual_char_report(
-            facet_ideal(board), symmetries=board_symmetries(board), threads=threads
-        )
+        rep = _dual_char_report(facet_ideal(board), symmetries=board_symmetries(board))
         expected = {"bound": 2 * (m - 1), "has_witness": 1, "reg_ge_bound": 1}
         computed = {
             "bound": value,
@@ -229,9 +227,7 @@ def paper_suite(threads: int = 1):
     for m, n in _A_INVARIANT_BOARDS:
         t0 = time.perf_counter()
         board = Board(m, n)
-        rep = _dual_char_report(
-            facet_ideal(board), symmetries=board_symmetries(board), threads=threads
-        )
+        rep = _dual_char_report(facet_ideal(board), symmetries=board_symmetries(board))
         cases.append(
             _case(
                 f"a-invariant-{m}x{n}",
@@ -251,11 +247,7 @@ def paper_suite(threads: int = 1):
                 computed_depth, torsion = 1, 0  # zero non-face ideal: the quotient is the whole ring
             else:
                 board = Board(m, n)
-                rep = _dual_char_report(
-                    stanley_reisner_ideal(board),
-                    symmetries=board_symmetries(board),
-                    threads=threads,
-                )
+                rep = _dual_char_report(stanley_reisner_ideal(board), symmetries=board_symmetries(board))
                 computed_depth, torsion = rep.depth, int(rep.torsion_warning)
             cases.append(
                 _case(
@@ -268,14 +260,12 @@ def paper_suite(threads: int = 1):
                 )
             )
 
-    cases.append(_board_power_case(3, 4, 8, 1, threads=threads))
-    cases.append(_board_power_case(4, 3, 6, 1, threads=threads))
+    cases.append(_board_power_case(3, 4, 8, 1))
+    cases.append(_board_power_case(4, 3, 6, 1))
 
     t0 = time.perf_counter()
     board = Board(4, 4)
-    rep = _dual_char_report(
-        facet_ideal(board), symmetries=board_symmetries(board), threads=threads
-    )
+    rep = _dual_char_report(facet_ideal(board), symmetries=board_symmetries(board))
     cases.append(
         _case(
             "four-four",
@@ -289,15 +279,13 @@ def paper_suite(threads: int = 1):
     return cases
 
 
-def long_suite(threads: int = 1):
+def long_suite():
     """Cases too slow for the paper suite. The 4x5 values are not from the
     paper: reg and depth are frozen as computed, with 32003 and GF(2)
     agreeing, so the case guards against a change in them."""
     t0 = time.perf_counter()
     board = Board(4, 5)
-    rep = _dual_char_report(
-        facet_ideal(board), symmetries=board_symmetries(board), threads=threads
-    )
+    rep = _dual_char_report(facet_ideal(board), symmetries=board_symmetries(board))
     return [
         _case(
             "four-five",
@@ -379,15 +367,15 @@ def _ideal_level_depth(ideal, ambient_count):
     return rep.depth + 1
 
 
-def properties_suite(threads: int = 1):
+def properties_suite():
     rng = random.Random(RANDOM_SEED)
     cases = []
 
     t0 = time.perf_counter()
     mismatches = []
     for name, ideal, syms in _squarefree_corpus():
-        h = betti_table(ideal, DEFAULT_FIELD, "hochster", syms, threads)
-        k = betti_table(ideal, DEFAULT_FIELD, "koszul", syms, threads)
+        h = betti_table_hochster(ideal, DEFAULT_FIELD, syms)
+        k = betti_table_koszul(ideal, DEFAULT_FIELD, syms)
         if h.entries != k.entries:
             mismatches.append(name)
     cases.append(
@@ -422,7 +410,7 @@ def properties_suite(threads: int = 1):
     t0 = time.perf_counter()
     bad = []
     for name, ideal, syms in _squarefree_corpus():
-        if not terai_check(ideal, symmetries=syms, threads=threads):
+        if not terai_check(ideal, symmetries=syms):
             bad.append(name)
     cases.append(
         _case(
@@ -438,7 +426,7 @@ def properties_suite(threads: int = 1):
     t0 = time.perf_counter()
     bad = []
     for name, ideal, syms in _squarefree_corpus():
-        table = betti_table(ideal, DEFAULT_FIELD, "auto", syms, threads)
+        table = betti_table(ideal, DEFAULT_FIELD, syms)
         quotient = table.quotient()
         if quotient.reg() != table.reg() - 1 or quotient.pd() != table.pd() + 1:
             bad.append(name)
@@ -517,7 +505,7 @@ def properties_suite(threads: int = 1):
         comp_powers.append((rep.reg, rep.depth))
     for t in (1, 2, 3):
         predicted = sum_formula_predict(comp_powers, comp_powers, t)
-        rep = _dual_char_report(square**t, symmetries=board_symmetries(board), threads=threads)
+        rep = _dual_char_report(square**t, symmetries=board_symmetries(board))
         if predicted != (rep.reg, rep.depth) or rep.torsion_warning:
             bad += 1
     cases.append(
@@ -580,7 +568,7 @@ def properties_suite(threads: int = 1):
     t0 = time.perf_counter()
     board = Board(3, 3)
     f0 = facet_ideal(board)
-    depth_f0 = _dual_char_report(f0, symmetries=board_symmetries(board), threads=threads).depth
+    depth_f0 = _dual_char_report(f0, symmetries=board_symmetries(board)).depth
     w_depths = []
     identity_ok = 1
     bottom = [board.cell(3, i) for i in range(1, 4)]
@@ -623,7 +611,7 @@ def properties_suite(threads: int = 1):
         lifted = [
             Monomial(board.vars, g.exponents + (0,) * n) for g in order
         ]
-        bound, trace = colon_sequence_reg_bound(facet_ideal(board), lifted, "add", threads=threads)
+        bound, trace = colon_sequence_reg_bound(facet_ideal(board), lifted, "add")
         step_regs = [s.colon_reg for s in trace if s.note == "" and s.colon_reg is not None]
         cases.append(
             _case(
@@ -712,11 +700,11 @@ def properties_suite(threads: int = 1):
     return cases
 
 
-def run_suite(name: str, threads: int = 1):
+def run_suite(name: str):
     if name == "paper":
-        return paper_suite(threads=threads)
+        return paper_suite()
     if name == "properties":
-        return properties_suite(threads=threads)
+        return properties_suite()
     if name == "long":
-        return long_suite(threads=threads)
+        return long_suite()
     raise ValueError(f"unknown suite {name!r}")

@@ -110,26 +110,95 @@ class TestHochsterRoute:
             orbit = betti_table_hochster(ideal, symmetries=board_symmetries(board))
             assert plain.entries == orbit.entries
 
-    def test_threads_change_nothing(self):
+    def test_threads_change_nothing(self, force_pool):
         from rookideal.betti import clear_table_cache
 
         ideal = facet_ideal(Board(2, 4))
+        clear_table_cache()
         plain = betti_table_hochster(ideal)
         clear_table_cache()
-        threaded = betti_table_hochster(ideal, threads=2)
-        assert plain.entries == threaded.entries
+        started = force_pool()
+        threaded = betti_table_hochster(ideal)
+        clear_table_cache()
+        assert started == [2] and plain.entries == threaded.entries
 
-    def test_threads_and_symmetries_together(self):
+    def test_threads_and_symmetries_together(self, force_pool):
         from rookideal.betti import clear_table_cache
 
         board = Board(3, 4)
         ideal = facet_ideal(board)
+        clear_table_cache()
         plain = betti_table_hochster(ideal)
         clear_table_cache()
-        combined = betti_table_hochster(
-            ideal, symmetries=board_symmetries(board), threads=2
-        )
-        assert plain.entries == combined.entries
+        started = force_pool()
+        combined = betti_table_hochster(ideal, symmetries=board_symmetries(board))
+        clear_table_cache()
+        assert started == [2] and plain.entries == combined.entries
+
+
+class TestPoolSelection:
+    """A plan is swept on one process per CPU this process may run on, when
+    there are two or more and its distinct cores hold at least
+    _POOL_MIN_SUBSETS subsets, sum 2^|facet|; otherwise in this process."""
+
+    @pytest.fixture
+    def plan(self, monkeypatch):
+        # ProcessPoolExecutor records each pool and maps in this process
+        from rookideal import betti
+
+        class Recording:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        started = []
+        monkeypatch.setattr(betti, "ProcessPoolExecutor", Recording)
+        board = Board(3, 4)
+        ideal, perms = facet_ideal(board), board_symmetries(board)
+        cores = betti._sweep_plan("hochster", ideal, perms).cores
+        subsets = sum(2 ** f.bit_count() for facets, _ in cores for f in facets)
+        betti.clear_table_cache()
+        expected = betti_table_hochster(ideal, symmetries=perms)
+        betti.clear_table_cache()
+        yield ideal, perms, subsets, expected, started
+        betti.clear_table_cache()
+
+    def sweep(self, monkeypatch, plan, cpus, threshold):
+        from rookideal import betti
+
+        ideal, perms, _, expected, started = plan
+        monkeypatch.setattr(betti.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(betti, "_POOL_MIN_SUBSETS", threshold)
+        started.clear()
+        betti.clear_table_cache()
+        assert betti_table_hochster(ideal, symmetries=perms) == expected
+        return started
+
+    def test_one_cpu_starts_no_pool_over_the_threshold(self, monkeypatch, plan):
+        assert self.sweep(monkeypatch, plan, 1, 0) == []
+
+    def test_two_cpus_under_the_threshold_start_no_pool(self, monkeypatch, plan):
+        assert self.sweep(monkeypatch, plan, 2, plan[2] + 1) == []
+
+    def test_two_cpus_at_the_threshold_start_a_pool(self, monkeypatch, plan):
+        assert self.sweep(monkeypatch, plan, 2, plan[2]) == [2]
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        from rookideal import betti
+
+        monkeypatch.delattr(betti.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(betti.os, "cpu_count", lambda: 3)
+        assert betti._cpu_count() == 3
+        monkeypatch.setattr(betti.os, "cpu_count", lambda: None)
+        assert betti._cpu_count() == 1
 
 
 class TestTableViews:
@@ -320,23 +389,25 @@ class TestSweepPlan:
         assert len(calls["reduce"]) == len(set(calls["reduce"])) == 2 * len(cores)
         assert {p for _, p in calls["reduce"]} == {2, 32003}
 
-    def test_threads_match_serial_on_a_cross_checked_report(self, built):
+    def test_threads_match_serial_on_a_cross_checked_report(self, built, force_pool):
         # the 3x5 board ideal has enough distinct cores for two workers
         from rookideal import betti
 
         board = Board(3, 5)
         ideal, perms = facet_ideal(board), board_symmetries(board)
-        runs = []
-        for threads in (1, 2):
+
+        def run():
             betti.clear_table_cache()
-            report = invariant_report(ideal, symmetries=perms, threads=threads, cross_check=True)
+            report = invariant_report(ideal, symmetries=perms, cross_check=True)
             report.wall_ms = 0.0
-            tables = [betti_table(ideal, field, symmetries=perms) for field in (DEFAULT_FIELD, GF2)]
-            runs.append((report, tables))
+            return report, [betti_table(ideal, field, symmetries=perms) for field in (DEFAULT_FIELD, GF2)]
+
+        serial = run()
+        started = force_pool()
+        assert run() == serial and started == [2]
         assert len(built["hochster"][0].cores) >= 8 * 2
         assert _counts(built) == {"hochster": 2, "koszul": 0}
-        assert runs[0] == runs[1]
-        assert (runs[0][0].reg, runs[0][0].depth, runs[0][0].torsion_warning) == (4, 4, False)
+        assert (serial[0].reg, serial[0].depth, serial[0].torsion_warning) == (4, 4, False)
 
     def test_other_symmetries_get_a_fresh_plan_and_check(self, built):
         board = Board(2, 3)
@@ -364,7 +435,7 @@ class TestSweepPlan:
         betti_table_koszul(ideal, GF2)
         assert _counts(built)["koszul"] == 3
 
-    def test_threads_match_serial_on_the_lattice_route(self):
+    def test_threads_match_serial_on_the_lattice_route(self, force_pool):
         from rookideal.betti import clear_table_cache
 
         board = Board(2, 3)
@@ -372,7 +443,10 @@ class TestSweepPlan:
         clear_table_cache()
         serial = betti_table_koszul(ideal, symmetries=board_symmetries(board))
         clear_table_cache()
-        threaded = betti_table_koszul(ideal, symmetries=board_symmetries(board), threads=2)
+        started = force_pool()
+        threaded = betti_table_koszul(ideal, symmetries=board_symmetries(board))
+        clear_table_cache()
+        assert started == [2]
         assert serial.entries == threaded.entries and serial.quotient().reg() == 6
 
     def test_second_call_returns_the_cached_table(self, built):
@@ -795,7 +869,7 @@ class TestSphereCores:
                 betti.clear_table_cache()
                 faces.clear()
                 reduced.clear()
-                tables = betti._planned_tables(route, ideal, [DEFAULT_FIELD, GF2], None, 1)
+                tables = betti._planned_tables(route, ideal, [DEFAULT_FIELD, GF2], None)
                 assert [t.field for t in tables] == [DEFAULT_FIELD, GF2]
                 plan = built[route][-1]
                 assert sorted(faces) == sorted(core for core, _ in plan.cores)
@@ -807,11 +881,12 @@ class TestSphereCores:
         assert sum(map(len, built.values())) == 40
         assert shared  # some core stands for several jobs
 
-    def test_threads_match_serial_with_spheres_and_repeated_cores(self):
+    def test_threads_match_serial_with_spheres_and_repeated_cores(self, monkeypatch, force_pool):
         # plans with at least 16 distinct cores, so that two workers get
         # them in chunks, some sphere jobs and a core shared by two jobs
         from rookideal import betti
 
+        started = force_pool()
         rng = random.Random(11)
         ambient = VariableSet.generic(10)
         checked = 0
@@ -827,14 +902,16 @@ class TestSphereCores:
                 continue
             for field in (DEFAULT_FIELD, GF2):
                 betti.clear_table_cache()
+                monkeypatch.setattr(betti, "_cpu_count", lambda: 1)
                 serial = betti_table_hochster(ideal, field)
                 betti.clear_table_cache()
-                assert betti_table_hochster(ideal, field, threads=2).entries == serial.entries
+                monkeypatch.setattr(betti, "_cpu_count", lambda: 2)
+                assert betti_table_hochster(ideal, field).entries == serial.entries
             checked += 1
             if checked == 3:
                 break
         betti.clear_table_cache()
-        assert checked == 3
+        assert checked == 3 and started == [2] * 6
 
 
 class TestHilbert:

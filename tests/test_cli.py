@@ -146,15 +146,17 @@ class TestInvariantsCommand:
     @pytest.mark.parametrize("command", [
         ["invariants", "--m", "2", "--n", "3"], ["betti", "-"], ["verify"],
     ])
-    @pytest.mark.parametrize("threads", ["0", str((os.cpu_count() or 1) + 1), "-1", "two"])
+    @pytest.mark.parametrize("threads", ["0", str((os.cpu_count() or 1) + 1), "-1", "two", "1"])
     def test_thread_count_out_of_range_rejected(self, capsys, monkeypatch, command, threads):
+        # there is no --threads option: the worker count comes from the plan
+        # and the CPUs, so every count is a usage error, the old default too
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool was started")
 
         monkeypatch.setattr(betti, "ProcessPoolExecutor", no_pool)
         code, out, err = run_cli(capsys, *command, "--threads", threads)
         assert code == 1 and out == ""
-        assert "error: argument --threads" in err and len(err.splitlines()) == 1
+        assert err == f"usage error: unrecognized arguments: --threads {threads}\n"
 
     def test_torsion_flag_reports_the_gf2_cross_run(self, capsys, monkeypatch):
         from rookideal import GF2, BettiTable
@@ -175,12 +177,47 @@ class TestInvariantsCommand:
         _, out, _ = run_cli(capsys, "invariants", "--m", "2", "--n", "3")
         assert json.loads(out)["torsion_warning"] is True
 
-    def test_threads_flag_gives_same_numbers(self, capsys):
-        _, one, _ = run_cli(capsys, "invariants", "--m", "2", "--n", "3", "--threads", "1")
-        _, two, _ = run_cli(capsys, "invariants", "--m", "2", "--n", "3", "--threads", "2")
+    def test_threads_flag_gives_same_numbers(self, capsys, force_pool):
+        # the report is the same whether its sweep runs here or on a pool
+        betti.clear_table_cache()
+        _, one, _ = run_cli(capsys, "invariants", "--m", "3", "--n", "3")
+        betti.clear_table_cache()
+        started = force_pool()
+        _, two, _ = run_cli(capsys, "invariants", "--m", "3", "--n", "3")
+        betti.clear_table_cache()
         a, b = json.loads(one), json.loads(two)
         a.pop("wall_ms"), b.pop("wall_ms")
-        assert a == b
+        assert started == [2] and a == b
+
+    def test_failed_consistency_check_exits_2(self, capsys, monkeypatch):
+        # one pivot too many on every boundary map makes a Betti number
+        # negative, and the rank kernel's check raises ArithmeticError
+        from rookideal import homology
+
+        real = homology._boundary_ranks
+        monkeypatch.setattr(
+            homology, "_boundary_ranks", lambda by_dim, field: {d: r + 1 for d, r in real(by_dim, field).items()}
+        )
+        betti.clear_table_cache()
+        code, out, err = run_cli(capsys, "invariants", "--m", "2", "--n", "3")
+        betti.clear_table_cache()
+        assert code == 2 and out == ""
+        assert err.startswith("error: boundary ranks exceed") and len(err.splitlines()) == 1
+
+
+class TestVerifyCommand:
+    def test_wrong_prime_family_fails_the_profile_cases(self, capsys, monkeypatch):
+        # prime_profile reads the enumerated primes; a wrong family is a
+        # failed case against the closed forms, not an exception
+        from rookideal import boards
+
+        real = boards.minimal_primes_formula
+        monkeypatch.setattr(boards, "minimal_primes_formula", lambda board: tuple(p[1:] for p in real(board)))
+        code, out, err = run_cli(capsys, "verify")
+        failed = [line.split()[0] for line in out.splitlines() if " FAIL " in line]
+        assert code == 2 and err == ""
+        assert len(failed) == 13 and all(case.startswith("profile-") for case in failed)
+        assert out.splitlines()[-1].endswith(", 13 failed")
 
 
 class TestBettiCommand:
