@@ -35,9 +35,17 @@ is dropped. A core that is a join of simplex boundaries is a sphere, with one
 copy of the field in a dimension its vertex and part counts give; the plan
 adds such jobs to the table in closed form, the same for every field. Every
 other core is kept once, with the (degree, orbit size) of each job that has
-it. One sweep serves every field asked for at once: it enumerates each
-distinct core's faces once and reduces them at each prime while they are in
-hand, so only one core's faces are held at a time. Nothing but the finished
+it. On the restriction route a core K is an induced subcomplex (a strong
+collapse only deletes vertices), so its minimal non-faces are the generator
+supports inside its vertex set V, and its Alexander dual on V takes one pass
+over the generators. H~_e of the dual is H~_{|V|-e-3} of K over every field
+(combinatorial Alexander duality, Bjoerner and Tancer 2009), so K is dropped
+when the dual's strong core is a point, and that core is swept in K's place
+when it has fewer subsets (sum 2^|facet|). The lattice route keeps its
+cores, so the two routes stay independent computations. One sweep serves
+every field asked for at once: it enumerates each distinct core's faces
+once and reduces them at each prime while they are in hand, so only one
+core's faces are held at a time. Nothing but the finished
 tables is kept; clear_table_cache() drops them. A cross-checked report
 sweeps once for its two fields, 32003 and GF(2), and finds the minimal
 primes once (their complements are the facets of the squarefree route's
@@ -46,8 +54,8 @@ sequential transversal method, handing them to the plan. A report reads the
 Hilbert series, and so the a-invariant, off the quotient table, and checks
 that the pole order of the series is the dim the primes give. A plan big
 enough to pay for a process pool has its distinct cores swept by one process
-per CPU the process may run on (taskset keeps it to one); the reduction is a
-plain sum, so the result is schedule independent.
+per CPU the process may run on (taskset keeps it to one), dealt largest
+first; the reduction is a plain sum, so the result is schedule independent.
 """
 
 from __future__ import annotations
@@ -523,24 +531,45 @@ def _homological_index(route: str, degree: int, d: int) -> int:
     return degree - d - 2 if route == "hochster" else d + 1
 
 
+def _subsets(facets) -> int:
+    """sum 2^|facet|: the subsets a face enumeration builds, the measure of a
+    core's cost."""
+    return sum(1 << f.bit_count() for f in facets)
+
+
+def _dual_core(core, supports) -> tuple[int, ...] | None:
+    """The strong core of the Alexander dual, on the core's vertex set V, of
+    a restriction core (see _strong_core for None). A strong collapse only
+    deletes vertices, so the core is the induced subcomplex of the
+    monomial-free complex on V, and its minimal non-faces are the generator
+    supports inside V; the dual's facets are their complements in V."""
+    vertices = functools.reduce(operator.or_, core)
+    return _strong_core({vertices ^ g for g in supports if g & vertices == g})
+
+
 class _SweepPlan(NamedTuple):
     """The field-independent part of a table. ``spheres`` holds the table
     entries, {(i, degree): multiplicity}, of the jobs whose strong core is a
     join of simplex boundaries, the same over every field; ``cores`` lists
-    every other distinct core once, as (core facet masks, [(degree, orbit
-    size), ...] of the jobs that have that core)."""
+    every other complex to sweep once, as (facet masks, [(degree, orbit
+    size), ...] of the jobs it stands for). A placement (degree, orbit size,
+    n) stands for a core on n vertices whose Alexander dual is swept."""
 
     spheres: dict[tuple[int, int], int]
-    cores: list[tuple[tuple[int, ...], list[tuple[int, int]]]]
+    cores: list[tuple[tuple[int, ...], list[tuple[int, ...]]]]
 
 
-def _gather(route: str, jobs) -> _SweepPlan:
+def _gather(route: str, jobs, supports=None) -> _SweepPlan:
     """The plan of a route's (facet masks, degree, orbit size) jobs: each
     complex is cut to its strong core; a point adds nothing, a sphere adds
     its closed form, and every other core is kept once with all its
-    placements."""
+    placements. With the generator ``supports`` (the restriction route),
+    each core K on n vertices is weighed against the strong core of its
+    Alexander dual: H~_e of the dual is H~_{n-e-3} of K over every field
+    (Bjoerner and Tancer 2009), so K is dropped when that core is a point,
+    and the dual is swept instead when it has fewer subsets."""
     spheres: dict[tuple[int, int], int] = {}
-    cores: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    cores: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for facets, degree, weight in jobs:
         core = _strong_core(facets)
         if core is None:
@@ -552,7 +581,18 @@ def _gather(route: str, jobs) -> _SweepPlan:
         i = _homological_index(route, degree, d)
         if i >= 0:
             spheres[(i, degree)] = spheres.get((i, degree), 0) + weight
-    return _SweepPlan(spheres, list(cores.items()))
+    if supports is None:
+        return _SweepPlan(spheres, list(cores.items()))
+    swept: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for core, placements in cores.items():
+        dual = _dual_core(core, supports)
+        if dual is None:
+            continue
+        if _subsets(dual) < _subsets(core):
+            n = functools.reduce(operator.or_, core).bit_count()
+            core, placements = dual, [(degree, weight, n) for degree, weight in placements]
+        swept.setdefault(core, []).extend(placements)
+    return _SweepPlan(spheres, list(swept.items()))
 
 
 def _hochster_plan(ideal: MonomialIdeal, symmetries, primes=None) -> _SweepPlan:
@@ -571,6 +611,7 @@ def _hochster_plan(ideal: MonomialIdeal, symmetries, primes=None) -> _SweepPlan:
             ({f & sigma for f in delta_facets}, sigma.bit_count(), weight)
             for sigma, weight in _orbit_jobs(gens, _unions if images is None else _lane_unions, images)
         ),
+        gens,
     )
 
 
@@ -614,16 +655,19 @@ def _sweep_chunk(route: str, cores, primes) -> list[dict]:
     dict for each p in ``primes``: each core's faces are enumerated once and
     reduced at every prime while they are in hand, and each reduced Betti
     number v counts v * orbit size at every placement (degree, orbit size) of
-    the core, in the homological degree _homological_index gives."""
+    the core, in the homological degree _homological_index gives. At a
+    placement (degree, orbit size, n), the complex swept is the dual of a
+    core on n vertices, and its H~_e counts as that core's H~_{n-e-3}."""
     fields = [FieldSpec(p) for p in primes]
     outs: list[dict[tuple[int, int], int]] = [{} for _ in primes]
     for facets, placements in cores:
         by_dim = faces_by_dim_masks(facets)
         for field, out in zip(fields, outs):
-            for d, v in betti_of_face_masks(by_dim, field).items():
+            for e, v in betti_of_face_masks(by_dim, field).items():
                 if not v:
                     continue
-                for degree, weight in placements:
+                for degree, weight, *dual in placements:
+                    d = dual[0] - e - 3 if dual else e
                     i = _homological_index(route, degree, d)
                     if i >= 0:
                         key = (i, degree)
@@ -639,12 +683,12 @@ _hochster_chunk = _koszul_chunk = _sweep_chunk
 # A pool pays for its start-up and for pickling the cores only on big plans.
 # The sweep's work grows with the subsets of the cores' facets, sum 2^|facet|
 # over the distinct cores. Measured on a shared 2-vCPU guest, both fields,
-# the sweep alone, medians of 7: the 3x5, 3x6 and 4x4 board plans (40k, 170k
-# and 355k subsets) took 0.03, 0.12-0.14 and 0.11-0.14 s in one process and
-# 0.03-0.06, 0.08-0.10 and 0.09-0.17 s in two, a gain of a few hundredths at
-# best and a loss as often on 4x4, whose 31 cores split unevenly; the 4x5
-# plan (5.4M subsets) took 2.7 s in one and 1.25 s in two. Below about 1M
-# subsets a second process is not worth its memory.
+# the sweep alone, two series of medians of 7: the 4x4 board plan (30 cores,
+# 155k subsets) took 0.058-0.080 s in one process and 0.064-0.078 s in two, a
+# loss as often as a gain; the 4x5 plan (232 cores, 4.0M subsets) took
+# 1.80-1.93 s in one and 0.92-0.98 s in two (1.11-1.20 s with the cores dealt
+# round robin in plan order). Below about 1M subsets a second process is not
+# worth its memory.
 _POOL_MIN_SUBSETS = 1 << 20
 
 
@@ -662,11 +706,14 @@ def _map_chunks(worker, static, cores, primes) -> list[dict]:
     its dicts summed per prime. The chunks go to one process per usable CPU
     when there is more than one and the cores hold at least
     _POOL_MIN_SUBSETS subsets; otherwise the worker takes every core here."""
-    subsets = sum(1 << f.bit_count() for facets, _ in cores for f in facets)
+    subsets = sum(_subsets(facets) for facets, _ in cores)
     workers = min(_cpu_count(), len(cores)) if subsets >= _POOL_MIN_SUBSETS else 1
     if workers <= 1:
         parts = [worker(static, cores, primes)]
     else:
+        # largest cores first (Graham's LPT rule), dealt round robin, so the
+        # chunks that start first hold the biggest cores
+        cores = sorted(cores, key=lambda core: _subsets(core[0]), reverse=True)
         nchunks = workers * 4
         chunks = [cores[k::nchunks] for k in range(nchunks)]
         chunks = [c for c in chunks if c]

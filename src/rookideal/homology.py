@@ -12,8 +12,9 @@ lowest vertex, with coefficient +1, so its pivot is known before the column is
 built: a face whose pivot row is still free is recorded by its mask alone (an
 apparent pair, as in Bauer's Ripser), and its column is built only if a later
 reduction needs it. Only columns whose pivot collides are built and reduced.
-The Betti sweeps hand in complexes already shrunk to their strong cores (see
-rookideal.betti), so the faces enumerated here are those of the cores.
+The Betti sweeps hand in strong cores (see rookideal.betti): of each job's
+complex, or on the restriction route of its Alexander dual when that is
+smaller, so the faces enumerated here are those of the cores.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 All values are exact integers, computed at characteristic 32003 with a GF(2)
 cross-run; a field disagreement fails the criterion with a torsion diagnostic.
 One summary line prints per criterion (run with -s to see them on success).
-The 4x5 board ideal carries the 'long' marker and is deselected by default;
-its reg and depth are frozen computed values, not claims of the paper.
+The 4x5 board ideal's reg and depth are frozen computed values, not claims
+of the paper.
 """
 
 import pytest
@@ -105,7 +105,6 @@ def test_criterion_4_depth_drop_2x4(paper_cases):
     _check("4 two-row depth drop (2x4, t=3)", cases)
 
 
-@pytest.mark.long
 def test_long_four_by_five():
     cases = long_suite()
     assert [c.id for c in cases] == ["four-five"]

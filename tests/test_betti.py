@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 import random
 
 import pytest
@@ -156,10 +158,11 @@ class TestPoolSelection:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
+            def map(self, fn, static, chunks, primes):
+                dealt.append(chunks)
+                return map(fn, static, chunks, primes)
 
-        started = []
+        started, dealt = [], []
         monkeypatch.setattr(betti, "ProcessPoolExecutor", Recording)
         board = Board(3, 4)
         ideal, perms = facet_ideal(board), board_symmetries(board)
@@ -168,13 +171,13 @@ class TestPoolSelection:
         betti.clear_table_cache()
         expected = betti_table_hochster(ideal, symmetries=perms)
         betti.clear_table_cache()
-        yield ideal, perms, subsets, expected, started
+        yield ideal, perms, subsets, expected, started, dealt
         betti.clear_table_cache()
 
     def sweep(self, monkeypatch, plan, cpus, threshold):
         from rookideal import betti
 
-        ideal, perms, _, expected, started = plan
+        ideal, perms, _, expected, started, _ = plan
         monkeypatch.setattr(betti.os, "sched_getaffinity", lambda pid: set(range(cpus)))
         monkeypatch.setattr(betti, "_POOL_MIN_SUBSETS", threshold)
         started.clear()
@@ -190,6 +193,20 @@ class TestPoolSelection:
 
     def test_two_cpus_at_the_threshold_start_a_pool(self, monkeypatch, plan):
         assert self.sweep(monkeypatch, plan, 2, plan[2]) == [2]
+
+    def test_chunks_deal_the_largest_cores_first(self, monkeypatch, plan):
+        # chunk k holds cores k, k + nchunks, ... of the cores sorted by
+        # subsets, largest first (Graham's LPT rule)
+        from rookideal import betti
+
+        assert self.sweep(monkeypatch, plan, 2, 0) == [2]
+        (chunks,) = plan[5]
+        assert len(chunks) == 8
+        order = [chunk[r] for r in range(len(chunks[0])) for chunk in chunks if r < len(chunk)]
+        sizes = [betti._subsets(facets) for facets, _ in order]
+        assert sizes == sorted(sizes, reverse=True) and sizes[0] > sizes[-1]
+        cores = betti._sweep_plan("hochster", plan[0], plan[1]).cores
+        assert sorted(order) == sorted(cores)
 
     def test_cpu_count_without_affinity(self, monkeypatch):
         from rookideal import betti
@@ -787,6 +804,30 @@ class TestStrongCore:
         assert shrunk  # the core did drop jobs, so the comparison means something
 
 
+def _duals_taken(monkeypatch) -> dict:
+    """Patch the dual step to record, for every core it weighs, the strong
+    core of that core's dual (None for a point)."""
+    from rookideal import betti
+
+    duals = {}
+    dual_core = betti._dual_core
+
+    def recorded(core, supports):
+        duals[core] = dual_core(core, supports)
+        return duals[core]
+
+    monkeypatch.setattr(betti, "_dual_core", recorded)
+    return duals
+
+
+def _vertex_count(facets) -> int:
+    return functools.reduce(operator.or_, facets).bit_count()
+
+
+def _indices(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 def _join_of_boundaries(sizes, count, seed):
     """The facet masks of the join of the boundaries of simplices with the
     given vertex counts, on vertices drawn by a seeded shuffle of range(count),
@@ -861,25 +902,41 @@ class TestSphereCores:
             reduced.append((tuple(sorted(m for ms in by_dim.values() for m in ms)), field))
             return betti_of_face_masks(by_dim, field)
 
+        duals = _duals_taken(monkeypatch)
         monkeypatch.setattr(betti, "faces_by_dim_masks", counted_faces)
         monkeypatch.setattr(betti, "betti_of_face_masks", counted_reduce)
-        shared = 0
+        shared = swept_duals = 0
         for ideal in _random_squarefree_ideals(20, 7, seed=9):
             for route in ("hochster", "koszul"):
                 betti.clear_table_cache()
                 faces.clear()
                 reduced.clear()
+                duals.clear()
                 tables = betti._planned_tables(route, ideal, [DEFAULT_FIELD, GF2], None)
                 assert [t.field for t in tables] == [DEFAULT_FIELD, GF2]
                 plan = built[route][-1]
                 assert sorted(faces) == sorted(core for core, _ in plan.cores)
                 assert len(reduced) == len(set(reduced)) == 2 * len(plan.cores)
                 for core, placements in plan.cores:
-                    assert betti._sphere_dimension(core) is None
+                    for placement in placements:
+                        if len(placement) == 2:  # swept as itself
+                            assert betti._sphere_dimension(core) is None
+                            if route == "hochster":
+                                assert betti._subsets(duals[core]) >= betti._subsets(core)
+                            continue
+                        # swept as the dual of a core on n vertices: fewer
+                        # subsets than each such core, and not a point
+                        n = placement[2]
+                        replaced = [k for k, dual in duals.items() if dual == core and _vertex_count(k) == n]
+                        assert replaced
+                        assert all(betti._subsets(core) < betti._subsets(k) for k in replaced)
+                        assert betti._strong_core(core) == core
+                        swept_duals += 1
                     shared += len(placements) > 1
         betti.clear_table_cache()
         assert sum(map(len, built.values())) == 40
         assert shared  # some core stands for several jobs
+        assert swept_duals  # and some dual is swept in a core's place
 
     def test_threads_match_serial_with_spheres_and_repeated_cores(self, monkeypatch, force_pool):
         # plans with at least 16 distinct cores, so that two workers get
@@ -912,6 +969,78 @@ class TestSphereCores:
                 break
         betti.clear_table_cache()
         assert checked == 3 and started == [2] * 6
+
+
+class TestDualCores:
+    """The restriction sweep weighs each core against the strong core of its
+    Alexander dual on the core's vertex set: it drops the core when that is a
+    point and sweeps the dual instead when it has fewer subsets."""
+
+    reduced = staticmethod(TestSphereCores.reduced)
+
+    def test_board_duals_carry_the_shifted_homology(self, monkeypatch):
+        from rookideal import betti
+
+        duals = _duals_taken(monkeypatch)
+        board = Board(4, 4)
+        plan = betti._hochster_plan(facet_ideal(board), board_symmetries(board))
+        swapped = {k: dual for k, dual in duals.items() if betti._subsets(dual) < betti._subsets(k)}
+        assert len(duals) == 31 and len(swapped) == 30
+        assert sum(map(betti._subsets, duals)) == 354_880
+        assert sum(betti._subsets(core) for core, _ in plan.cores) == 155_020
+        for core, dual in swapped.items():
+            n = _vertex_count(core)
+            for field in (DEFAULT_FIELD, GF2):
+                shifted = {n - e - 3: v for e, v in self.reduced(dual, field).items()}
+                assert shifted == self.reduced(core, field)
+
+    def test_core_with_a_contractible_dual_is_dropped(self, monkeypatch):
+        # a ten-triangle complex on vertices 0-7 with no dominated vertex,
+        # acyclic, whose dual collapses to a point
+        from rookideal import betti
+
+        ambient = VariableSet.generic(9)
+        supports = [0b1001, 0b100000001, 0b10110, 0b10001010, 0b10110000, 0b1010101]
+        ideal = min_gens([Monomial.from_support(ambient, _indices(s)) for s in supports], ambient)
+        duals = _duals_taken(monkeypatch)
+        plan = betti._hochster_plan(ideal, None)
+        acyclic = (46, 51, 53, 58, 60, 147, 149, 156, 167, 172)
+        assert betti._strong_core(acyclic) == acyclic
+        assert acyclic in duals and duals[acyclic] is None
+        assert acyclic not in [core for core, _ in plan.cores]
+        for field in (DEFAULT_FIELD, GF2):
+            assert self.reduced(acyclic, field) == {}
+            betti.clear_table_cache()
+            expected = oracles.full_subset_hochster(ideal, field)
+            assert betti_table_hochster(ideal, field).entries == expected
+        betti.clear_table_cache()
+
+    def test_tables_with_linear_generators_match_both_oracles(self, monkeypatch):
+        # a degree-1 generator x_v keeps v out of every core, so a core's
+        # vertex set is smaller than the restriction that has it
+        from rookideal import betti
+
+        built = _plans_built(monkeypatch)
+        rng = random.Random(16)
+        ambient = VariableSet.generic(8)
+        below = 0
+        for _ in range(12):
+            gens = [Monomial.from_support(ambient, [rng.randrange(8)])]
+            gens += [
+                Monomial.from_support(ambient, rng.sample(range(8), rng.randint(2, 4)))
+                for _ in range(rng.randint(5, 10))
+            ]
+            ideal = min_gens(gens, ambient)
+            for field in (DEFAULT_FIELD, GF2):
+                betti.clear_table_cache()
+                expected = oracles.full_subset_hochster(ideal, field)
+                assert betti_table_hochster(ideal, field).entries == expected
+                assert betti_table_koszul(ideal, field).entries == expected
+            below += any(
+                len(p) == 3 and p[0] > p[2] for _, placements in built["hochster"][-1].cores for p in placements
+            )
+        betti.clear_table_cache()
+        assert below  # some swept dual stands for a core smaller than its restriction
 
 
 class TestHilbert:
