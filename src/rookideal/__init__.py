@@ -23,7 +23,6 @@ from .betti import (
     colon_sequence_reg_bound,
     hilbert_series,
     invariant_report,
-    private_variable_reg,
     sum_formula_predict,
     terai_check,
 )
@@ -32,17 +31,11 @@ from .complexes import (
     facet_ideal_of_complex,
     induced_matching_bound,
     minimal_vertex_covers,
-    sr_complex_of_ideal,
-    sr_ideal_of_complex,
 )
 from .homology import (
     DEFAULT_FIELD,
     GF2,
     FieldSpec,
-    SparseMatrix,
-    boundary_matrix,
-    faces_of_dim,
-    rank,
     reduced_betti,
 )
 from .monomials import (

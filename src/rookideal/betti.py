@@ -975,18 +975,6 @@ def terai_check(
     return pd_quotient == reg_dual
 
 
-def private_variable_reg(ideal: MonomialIdeal) -> int | None:
-    """|support| - |generators| + 1 when every generator of a squarefree ideal
-    owns a variable dividing no other generator; None otherwise."""
-    if ideal.is_zero or ideal.is_unit or not ideal.is_squarefree:
-        return None
-    for g in ideal.gens:
-        others = [h for h in ideal.gens if h is not g]
-        if not any(all(v not in h.support() for h in others) for v in g.support()):
-            return None
-    return len(ideal.support()) - len(ideal.gens) + 1
-
-
 # ---------------------------------------------------------------------------
 # colon-sequence regularity bounds
 

@@ -45,9 +45,6 @@ class Board:
             raise ValueError(f"cell ({i},{j}) outside the {self.m}x{self.n} board")
         return (i - 1) * self.n + (j - 1)
 
-    def coords(self, index: int) -> tuple[int, int]:
-        return index // self.n + 1, index % self.n + 1
-
 
 def chessboard_complex(board: Board) -> SimplicialComplex:
     """Facets are all placements of one rook per row in pairwise distinct columns."""

@@ -1,8 +1,8 @@
 """Simplicial complexes as facet antichains.
 
-Covers both directions of the Stanley-Reisner correspondence, induced
-subcomplexes, exact minimal-vertex-cover enumeration (Berge's sequential
-transversals) and the induced-matching regularity lower bound.
+Covers the facet ideal of a complex, exact minimal-vertex-cover enumeration
+(Berge's sequential transversals) and the induced-matching regularity lower
+bound.
 
 The void complex (no facets at all) and the irrelevant complex (only facet
 the empty set) are distinct and both representable.
@@ -36,10 +36,6 @@ class SimplicialComplex:
         facets = sorted((tuple(_bits(m)) for m in maximal), key=lambda f: (len(f), f))
         return cls(vertices, tuple(facets))
 
-    @classmethod
-    def full_simplex(cls, vertices: VariableSet) -> "SimplicialComplex":
-        return cls(vertices, (tuple(range(vertices.count)),))
-
     @property
     def is_void(self) -> bool:
         return not self.facets
@@ -57,17 +53,6 @@ class SimplicialComplex:
 
     def facet_masks(self) -> tuple[int, ...]:
         return tuple(_mask_of(f) for f in self.facets)
-
-    def induced(self, subset) -> "SimplicialComplex":
-        """Induced subcomplex on a vertex subset: the faces contained in it."""
-        a = _mask_of(subset)
-        if a >> self.vertices.count:
-            raise ValueError("subset is not a vertex subset")
-        if self.is_void:
-            return self
-        return SimplicialComplex.from_facets(
-            self.vertices, [tuple(_bits(f & a)) for f in self.facet_masks()]
-        )
 
 
 def facet_ideal_of_complex(cx: SimplicialComplex) -> MonomialIdeal:
@@ -107,41 +92,6 @@ def minimal_vertex_covers(cx: SimplicialComplex) -> tuple[tuple[int, ...], ...]:
         raise ValueError("the void complex has no facets to cover")
     covers = _minimal_transversals(cx.facet_masks())
     return tuple(sorted(tuple(_bits(m)) for m in covers))
-
-
-def sr_complex_of_ideal(ideal: MonomialIdeal) -> SimplicialComplex:
-    """Complex whose faces are the monomial-free vertex subsets of a squarefree
-    ideal; its facets are the complements of the ideal's minimal primes."""
-    if not ideal.is_squarefree:
-        raise ValueError("Stanley-Reisner complex requires a squarefree ideal")
-    if ideal.is_unit:
-        raise ValueError("the unit ideal has no Stanley-Reisner complex")
-    if ideal.is_zero:
-        return SimplicialComplex.full_simplex(ideal.ambient)
-    everything = frozenset(range(ideal.ambient.count))
-    return SimplicialComplex.from_facets(
-        ideal.ambient, [everything - set(p) for p in ideal.minimal_primes()]
-    )
-
-
-def sr_ideal_of_complex(cx: SimplicialComplex) -> MonomialIdeal:
-    """Ideal generated by the products over the minimal non-faces.
-
-    A set is a non-face exactly when it meets the complement of every facet,
-    so the minimal non-faces are the minimal transversals of those complements.
-    """
-    if cx.is_void:
-        raise ValueError("the void complex has no Stanley-Reisner ideal")
-    n = cx.vertices.count
-    full = (1 << n) - 1
-    complements = tuple(full & ~f for f in cx.facet_masks())
-    if any(c == 0 for c in complements):
-        return MonomialIdeal.zero(cx.vertices)
-    nonfaces = _minimal_transversals(complements)
-    return min_gens(
-        [Monomial.from_support(cx.vertices, tuple(_bits(m))) for m in nonfaces],
-        cx.vertices,
-    )
 
 
 def induced_matching_bound(

@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .monomials import _bits
-
 
 # Miller-Rabin with the first thirteen primes as bases has no strong
 # pseudoprime below this bound (Sorenson and Webster, Math. Comp. 2017), so
@@ -74,24 +72,6 @@ GF2 = FieldSpec(2)
 DEFAULT_FIELD = FieldSpec(32003)  # large-prime stand-in for characteristic 0
 
 
-@dataclass(frozen=True)
-class SparseMatrix:
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, int, int], ...]
-
-    def __post_init__(self):
-        seen = set()
-        for r, c, v in self.entries:
-            if not (0 <= r < self.rows and 0 <= c < self.cols):
-                raise ValueError("entry position out of range")
-            if v == 0:
-                raise ValueError("stored zero entry")
-            if (r, c) in seen:
-                raise ValueError("duplicate entry position")
-            seen.add((r, c))
-
-
 def _reduce_column(col: dict[int, int], pivots: dict, p: int) -> None:
     """Reduce the sparse column {row: value mod p} in place on its pivot (its
     largest nonzero row) against ``pivots``, which maps each pivot row to its
@@ -116,19 +96,6 @@ def _reduce_column(col: dict[int, int], pivots: dict, p: int) -> None:
                 col[r] = w
             else:
                 del col[r]
-
-
-def rank(matrix: SparseMatrix, field: FieldSpec) -> int:
-    """Exact rank of a sparse matrix over GF(p)."""
-    p = field.characteristic
-    columns: list[dict[int, int]] = [{} for _ in range(matrix.cols)]
-    for r, c, v in matrix.entries:
-        if v % p:
-            columns[c][r] = v % p
-    pivots: dict[int, dict[int, int]] = {}
-    for col in columns:
-        _reduce_column(col, pivots, p)
-    return len(pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -157,13 +124,6 @@ def faces_by_dim_masks(facet_masks) -> dict[int, list[int]]:
     return out
 
 
-def faces_of_dim(cx, d: int) -> list[tuple[int, ...]]:
-    """Ordered list of d-faces; d = -1 gives the empty face of a non-void complex."""
-    if d < -1:
-        raise ValueError("dimension must be at least -1")
-    return [tuple(_bits(m)) for m in faces_by_dim_masks(cx.facet_masks()).get(d, [])]
-
-
 def _boundary_column(m: int, p: int) -> dict[int, int]:
     """The d-face mask m as a sparse column {(d-1)-face mask: +-1 mod p}; the
     sign is (-1)^position, so the largest row, m without its lowest vertex,
@@ -176,22 +136,6 @@ def _boundary_column(m: int, p: int) -> dict[int, int]:
         rest ^= low
         sign = -sign
     return col
-
-
-def boundary_matrix(cx, d: int, field: FieldSpec) -> SparseMatrix:
-    """The d-th boundary map of the augmented chain complex, rows indexed by
-    (d-1)-faces and columns by d-faces, entries (-1)^position mod p."""
-    if d < 0:
-        raise ValueError("boundary dimension must be at least 0")
-    by_dim = faces_by_dim_masks(cx.facet_masks())
-    rows, cols = by_dim.get(d - 1, []), by_dim.get(d, [])
-    row_index = {m: i for i, m in enumerate(rows)}
-    entries = tuple(
-        (row_index[r], j, v)
-        for j, m in enumerate(cols)
-        for r, v in _boundary_column(m, field.characteristic).items()
-    )
-    return SparseMatrix(len(rows), len(cols), entries)
 
 
 def _boundary_ranks(by_dim: dict[int, list[int]], field: FieldSpec) -> dict[int, int]:

@@ -117,10 +117,6 @@ class Monomial:
         self._check(other)
         return Monomial(self.ambient, tuple(map(max, self.exponents, other.exponents)))
 
-    def gcd(self, other: "Monomial") -> "Monomial":
-        self._check(other)
-        return Monomial(self.ambient, tuple(map(min, self.exponents, other.exponents)))
-
     def __mul__(self, other: "Monomial") -> "Monomial":
         self._check(other)
         return Monomial(self.ambient, tuple(a + b for a, b in zip(self.exponents, other.exponents)))
@@ -245,20 +241,6 @@ class MonomialIdeal:
         if f.ambient != self.ambient:
             raise AmbientMismatch("monomial over a different variable set")
         return min_gens([g.after_colon(f) for g in self.gens], self.ambient)
-
-    def colon_ideal(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        """(I : J) as the intersection of the colons by the generators of J."""
-        self._check(other)
-        if other.is_zero:
-            return MonomialIdeal.unit_ideal(self.ambient)
-        out = self.colon(other.gens[0])
-        for g in other.gens[1:]:
-            out = out.intersect(self.colon(g))
-        return out
-
-    def intersect(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        self._check(other)
-        return min_gens([a.lcm(b) for a in self.gens for b in other.gens], self.ambient)
 
     def radical(self) -> "MonomialIdeal":
         return min_gens(

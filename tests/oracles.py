@@ -5,12 +5,105 @@ covers come from full subset enumeration, Betti numbers of two-generator
 ideals from the short Taylor resolution, powers from naive product
 expansion, lcm lattices from pairwise joins of plain tuples, Hilbert series
 from the f-vector of the Stanley-Reisner complex (of the polarization, for an
-ideal that is not squarefree) rather than from a Betti table, and so on.
+ideal that is not squarefree) rather than from a Betti table, boundary ranks
+from dense Gaussian elimination of each boundary map alone, and so on. The
+Stanley-Reisner complex of an ideal is read off the library's minimal primes,
+which the cover tests check against subset enumeration.
 """
 
 import itertools
 
-from rookideal import Monomial, VariableSet, min_gens
+from rookideal import Monomial, SimplicialComplex, VariableSet, min_gens
+
+
+def _mask(face):
+    return sum(1 << v for v in face)
+
+
+def faces(facets, d):
+    """The d-faces (vertex tuples) of the complex with the given facets, in
+    increasing mask order; d = -1 gives the empty face of a non-void complex."""
+    found = {c for f in facets for c in itertools.combinations(sorted(f), d + 1)}
+    return sorted(found, key=_mask)
+
+
+def boundary_matrix(facets, d, field):
+    """The d-th boundary map of the augmented chain complex as dense rows mod
+    p: rows the (d-1)-faces, columns the d-faces, both in the order of
+    ``faces``, and the entry of a d-face at the face without its k-th vertex
+    (counted from 0, lowest first) is (-1)^k."""
+    p = field.characteristic
+    rows = {face: i for i, face in enumerate(faces(facets, d - 1))}
+    cols = faces(facets, d)
+    out = [[0] * len(cols) for _ in rows]
+    for j, face in enumerate(cols):
+        for k in range(len(face)):
+            out[rows[face[:k] + face[k + 1 :]]][j] = (-1) ** k % p
+    return out
+
+
+def rank(rows, field):
+    """Rank of a dense matrix over GF(p) by Gaussian elimination."""
+    p = field.characteristic
+    rows = [[v % p for v in row] for row in rows]
+    found = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(found, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            continue
+        rows[found], rows[pivot] = rows[pivot], rows[found]
+        top = rows[found]
+        inv = pow(top[c], -1, p)
+        support = [k for k in range(c, len(top)) if top[k]]  # zeros change nothing
+        for row in rows[found + 1 :]:
+            if row[c]:
+                f = row[c] * inv % p
+                for k in support:
+                    row[k] = (row[k] - f * top[k]) % p
+        found += 1
+    return found
+
+
+def plain_betti(facets, field):
+    """Reduced Betti numbers b~_d = f_d - r_d - r_{d+1}, d = -1 .. dim, from
+    the rank of each boundary map alone ({} for the void complex)."""
+    if not facets:
+        return {}
+    top = max(len(f) for f in facets) - 1
+    ranks = {d: rank(boundary_matrix(facets, d, field), field) for d in range(top + 1)}
+    return {
+        d: len(faces(facets, d)) - ranks.get(d, 0) - ranks.get(d + 1, 0)
+        for d in range(-1, top + 1)
+    }
+
+
+def induced(cx, subset):
+    """The induced subcomplex on a vertex subset: the faces inside it."""
+    if cx.is_void:
+        return cx
+    inside = set(subset)
+    return SimplicialComplex.from_facets(cx.vertices, [set(f) & inside for f in cx.facets])
+
+
+def stanley_reisner_complex(ideal):
+    """The complex of the monomial-free vertex sets of a squarefree ideal:
+    its facets are the complements of the minimal primes (the whole vertex
+    set for the zero ideal)."""
+    everything = set(range(ideal.ambient.count))
+    if ideal.is_zero:
+        return SimplicialComplex.from_facets(ideal.ambient, [everything])
+    return SimplicialComplex.from_facets(
+        ideal.ambient, [everything - set(p) for p in ideal.minimal_primes()]
+    )
+
+
+def nonface_ideal(cx):
+    """The Stanley-Reisner ideal of a complex, from brute-force non-faces."""
+    n = cx.vertices.count
+    return min_gens(
+        [Monomial.from_support(cx.vertices, nf) for nf in brute_minimal_nonfaces(cx.facets, n)],
+        cx.vertices,
+    )
 
 
 def brute_force_minimal_covers(facets, nverts):
@@ -95,15 +188,14 @@ def brute_minimal_nonfaces(complex_facets, nverts):
 def full_subset_hochster(ideal, field):
     """Betti entries of a squarefree ideal by summing restriction homology
     over every vertex subset, with no lattice filtering."""
-    from rookideal import sr_complex_of_ideal
     from rookideal.homology import reduced_betti
 
-    delta = sr_complex_of_ideal(ideal)
+    delta = stanley_reisner_complex(ideal)
     n = ideal.ambient.count
     entries = {}
     for size in range(n + 1):
         for combo in itertools.combinations(range(n), size):
-            betti = reduced_betti(delta.induced(combo), field)
+            betti = reduced_betti(induced(delta, combo), field)
             for d, value in betti.items():
                 i = size - d - 2
                 if value and i >= 0:
@@ -139,12 +231,11 @@ def f_vector_series(ideal, ambient_count=None):
     over (1 - t)^D, D the largest face size, with one more power of 1 - t per
     variable outside the ideal's set. Returns (numerator, denominator power)
     in lowest terms."""
-    from rookideal import sr_complex_of_ideal
     from rookideal.homology import faces_by_dim_masks
 
     if ambient_count is None:
         ambient_count = ideal.ambient.count
-    by_dim = faces_by_dim_masks(sr_complex_of_ideal(ideal).facet_masks())
+    by_dim = faces_by_dim_masks(stanley_reisner_complex(ideal).facet_masks())
     top = max(by_dim) + 1
     numerator = [0] * (top + 1)
     for d, faces in by_dim.items():

@@ -24,7 +24,6 @@ from rookideal import (
     hilbert_series,
     invariant_report,
     min_gens,
-    private_variable_reg,
     stanley_reisner_ideal,
     sum_formula_predict,
     terai_check,
@@ -100,6 +99,17 @@ class TestHochsterRoute:
         ):
             expected = oracles.full_subset_hochster(ideal, DEFAULT_FIELD)
             assert betti_table_hochster(ideal).entries == expected
+        # two disjoint edges (reg 3), and two nested window products over a
+        # 2xn block (reg 2n - 3 at n = 4)
+        v4, vs = VariableSet.generic(4), Board(2, 4).vars
+        edges = min_gens([Monomial(v4, (1, 1, 0, 0)), Monomial(v4, (0, 0, 1, 1))], v4)
+        windows = min_gens(
+            [Monomial.from_support(vs, range(4)), Monomial.from_support(vs, [2, 3, 6, 7])], vs
+        )
+        for ideal, reg in ((edges, 3), (windows, 2 * 4 - 3)):
+            table = betti_table(ideal)
+            assert table.entries == oracles.full_subset_hochster(ideal, DEFAULT_FIELD)
+            assert table.reg() == reg
 
     def test_symmetry_orbits_change_nothing(self):
         for m, n in [(2, 3), (3, 3)]:
@@ -280,14 +290,14 @@ class TestInvariantReport:
     def test_cross_check_flags_characteristic_dependence(self):
         # non-face ideal of a 6-vertex projective-plane triangulation: the
         # classic example whose resolution grows one step longer mod 2
-        from rookideal import SimplicialComplex, sr_ideal_of_complex
+        from rookideal import SimplicialComplex
 
         facets = [
             [0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 5], [0, 1, 5],
             [1, 2, 4], [1, 3, 4], [1, 3, 5], [2, 3, 5], [2, 4, 5],
         ]
         cx = SimplicialComplex.from_facets(VariableSet.generic(6), facets)
-        ideal = sr_ideal_of_complex(cx)
+        ideal = oracles.nonface_ideal(cx)
         report = invariant_report(ideal, cross_check=True)
         assert report.torsion_warning is True
         assert betti_table(ideal, DEFAULT_FIELD).pd() == 2
@@ -905,14 +915,21 @@ class TestSphereCores:
         duals = _duals_taken(monkeypatch)
         monkeypatch.setattr(betti, "faces_by_dim_masks", counted_faces)
         monkeypatch.setattr(betti, "betti_of_face_masks", counted_reduce)
-        shared = swept_duals = 0
-        for ideal in _random_squarefree_ideals(20, 7, seed=9):
-            for route in ("hochster", "koszul"):
+        # on the random ideals every restriction core is swept as its dual;
+        # the 4x4 board keeps one as itself
+        board = Board(4, 4)
+        cases = [
+            (ideal, ("hochster", "koszul"), None) for ideal in _random_squarefree_ideals(20, 7, seed=9)
+        ]
+        cases.append((facet_ideal(board), ("hochster",), board_symmetries(board)))
+        shared = swept_duals = swept_selves = 0
+        for ideal, routes, symmetries in cases:
+            for route in routes:
                 betti.clear_table_cache()
                 faces.clear()
                 reduced.clear()
                 duals.clear()
-                tables = betti._planned_tables(route, ideal, [DEFAULT_FIELD, GF2], None)
+                tables = betti._planned_tables(route, ideal, [DEFAULT_FIELD, GF2], symmetries)
                 assert [t.field for t in tables] == [DEFAULT_FIELD, GF2]
                 plan = built[route][-1]
                 assert sorted(faces) == sorted(core for core, _ in plan.cores)
@@ -923,6 +940,7 @@ class TestSphereCores:
                             assert betti._sphere_dimension(core) is None
                             if route == "hochster":
                                 assert betti._subsets(duals[core]) >= betti._subsets(core)
+                                swept_selves += 1
                             continue
                         # swept as the dual of a core on n vertices: fewer
                         # subsets than each such core, and not a point
@@ -934,9 +952,10 @@ class TestSphereCores:
                         swept_duals += 1
                     shared += len(placements) > 1
         betti.clear_table_cache()
-        assert sum(map(len, built.values())) == 40
+        assert sum(map(len, built.values())) == 41
         assert shared  # some core stands for several jobs
         assert swept_duals  # and some dual is swept in a core's place
+        assert swept_selves  # and some restriction core is swept as itself
 
     def test_threads_match_serial_with_spheres_and_repeated_cores(self, monkeypatch, force_pool):
         # plans with at least 16 distinct cores, so that two workers get
@@ -1125,34 +1144,6 @@ class TestTerai:
         ideal = facet_ideal(Board(3, 3))
         assert terai_check(ideal, symmetries=board_symmetries(Board(3, 3)))
         assert betti_table_koszul(ideal.alexander_dual()).reg() == 5
-
-
-class TestPrivateVariableReg:
-    def test_disjoint_edges(self):
-        ideal = min_gens(
-            [
-                Monomial(VariableSet.generic(4), (1, 1, 0, 0)),
-                Monomial(VariableSet.generic(4), (0, 0, 1, 1)),
-            ],
-            VariableSet.generic(4),
-        )
-        assert private_variable_reg(ideal) == 3
-        assert betti_table(ideal).reg() == 3
-
-    def test_board_has_no_private_variables(self):
-        assert private_variable_reg(facet_ideal(Board(2, 3))) is None
-
-    def test_tail_ideal_from_three_row_argument(self):
-        # two nested window products over a 2x4 block: reg = 2n - 3 at n = 4
-        n = 4
-        vs = Board(2, n).vars
-        row1 = Monomial.from_support(vs, range(n))
-        mixed = Monomial.from_support(
-            vs, [k for k in range(2, n)] + [n + k for k in range(2, n)]
-        )
-        ideal = min_gens([row1, mixed], vs)
-        assert private_variable_reg(ideal) == 2 * n - 3
-        assert betti_table(ideal).reg() == 2 * n - 3
 
 
 class TestColonSequence:

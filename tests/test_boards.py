@@ -34,9 +34,9 @@ class TestBoard:
 
     def test_cell_indexing_round_trip(self):
         b = Board(3, 5)
-        for i in range(1, 4):
-            for j in range(1, 6):
-                assert b.coords(b.cell(i, j)) == (i, j)
+        cells = [b.cell(i, j) for i in range(1, 4) for j in range(1, 6)]
+        assert cells == list(range(15))  # row-major
+        assert [b.vars.labels[b.cell(i, 5)] for i in range(1, 4)] == ["x15", "x25", "x35"]
 
     def test_cell_bounds(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -15,8 +16,6 @@ from rookideal import (
     min_gens,
     minimal_primes_formula,
     minimal_vertex_covers,
-    sr_complex_of_ideal,
-    sr_ideal_of_complex,
     stanley_reisner_ideal,
 )
 
@@ -48,16 +47,18 @@ class TestFromFacets:
 
 
 class TestInduced:
+    """The Hochster oracle's induced subcomplexes."""
+
     def test_one_facet_survives(self):
         b = Board(2, 2)
         cx = chessboard_complex(b)
-        sub = cx.induced([b.cell(1, 1), b.cell(2, 2)])
+        sub = oracles.induced(cx, [b.cell(1, 1), b.cell(2, 2)])
         assert sub.facets == ((b.cell(1, 1), b.cell(2, 2)),)
 
     def test_empty_restriction(self):
         cx = chessboard_complex(Board(2, 2))
-        assert cx.induced([]).is_irrelevant
-        assert SimplicialComplex.from_facets(V3, []).induced([]).is_void
+        assert oracles.induced(cx, []).is_irrelevant
+        assert oracles.induced(SimplicialComplex.from_facets(V3, []), []).is_void
 
     def test_matching_witness_facet_filter(self):
         # the only facets of the 3x3 complex inside the two diagonals are the
@@ -69,60 +70,55 @@ class TestInduced:
         union = set(f1) | set(f2)
         inside = {f for f in cx.facets if set(f) <= union}
         assert inside == {f1, f2}
-        assert set(cx.induced(union).facets) > inside
+        assert set(oracles.induced(cx, union).facets) > inside
 
 
 class TestStanleyReisner:
+    """The complements of the minimal primes against the faces and non-faces."""
+
     def test_complex_of_two_row_board_ideal(self):
         b = Board(2, 3)
-        delta = sr_complex_of_ideal(facet_ideal(b))
+        delta = oracles.stanley_reisner_complex(facet_ideal(b))
         rows = [tuple(b.cell(1, j) for j in (1, 2, 3)), tuple(b.cell(2, j) for j in (1, 2, 3))]
         cols = [tuple(sorted((b.cell(1, j), b.cell(2, j)))) for j in (1, 2, 3)]
         assert set(delta.facets) == set(rows) | set(cols)
 
     def test_complex_of_edge(self):
         ideal = min_gens([Monomial(VariableSet.generic(2), (1, 1))], VariableSet.generic(2))
-        assert sr_complex_of_ideal(ideal).facets == ((0,), (1,))
+        assert oracles.stanley_reisner_complex(ideal).facets == ((0,), (1,))
 
     def test_complex_of_zero(self):
-        delta = sr_complex_of_ideal(MonomialIdeal.zero(V3))
+        delta = oracles.stanley_reisner_complex(MonomialIdeal.zero(V3))
         assert delta.facets == ((0, 1, 2),)
 
     def test_faces_match_membership_oracle(self):
         ideal = facet_ideal(Board(2, 2))
-        delta = sr_complex_of_ideal(ideal)
+        delta = oracles.stanley_reisner_complex(ideal)
         expected = set(oracles.membership_faces(ideal, range(4)))
         actual = set()
         for facet in delta.facets:
-            from itertools import combinations
-
             for size in range(len(facet) + 1):
-                actual.update(combinations(facet, size))
+                actual.update(itertools.combinations(facet, size))
         assert actual == expected
-
-    def test_ideal_of_full_simplex(self):
-        assert sr_ideal_of_complex(SimplicialComplex.full_simplex(V3)).is_zero
 
     def test_ideal_of_hollow_triangle(self):
         cx = SimplicialComplex.from_facets(V3, [{0, 1}, {1, 2}, {0, 2}])
-        ideal = sr_ideal_of_complex(cx)
+        ideal = oracles.nonface_ideal(cx)
         assert [str(g) for g in ideal.gens] == ["x1*x2*x3"]
+        assert oracles.stanley_reisner_complex(ideal) == cx
 
     def test_board_nonfaces(self):
-        b = Board(2, 2)
-        via_complex = sr_ideal_of_complex(chessboard_complex(b))
-        assert via_complex == stanley_reisner_ideal(b)
-        expected = oracles.brute_minimal_nonfaces(chessboard_complex(b).facets, 4)
-        assert [g.support() for g in via_complex.gens] == [frozenset(nf) for nf in expected]
+        for m, n in [(1, 3), (2, 2), (2, 3), (3, 3)]:
+            b = Board(m, n)
+            expected = oracles.brute_minimal_nonfaces(chessboard_complex(b).facets, m * n)
+            ideal = stanley_reisner_ideal(b)
+            assert sorted(tuple(sorted(g.support())) for g in ideal.gens) == expected
+            assert ideal == oracles.nonface_ideal(chessboard_complex(b))
 
     def test_round_trip(self):
-        for m, n in [(1, 3), (2, 2), (2, 3)]:
-            cx = chessboard_complex(Board(m, n))
-            assert sr_complex_of_ideal(sr_ideal_of_complex(cx)) == cx
-
-    def test_void_rejected(self):
-        with pytest.raises(ValueError):
-            sr_ideal_of_complex(SimplicialComplex.from_facets(V3, []))
+        for m, n in [(1, 3), (2, 2), (2, 3), (3, 3)]:
+            b = Board(m, n)
+            assert oracles.stanley_reisner_complex(stanley_reisner_ideal(b)) == chessboard_complex(b)
 
 
 class TestCovers:
@@ -163,7 +159,9 @@ class TestCovers:
             complements = {
                 tuple(sorted(everything - set(c))) for c in minimal_vertex_covers(cx)
             }
-            delta = sr_complex_of_ideal(facet_ideal_of_complex(cx))
+            # the sets holding no facet, from the definition
+            free = oracles.membership_faces(facet_ideal_of_complex(cx), everything)
+            delta = SimplicialComplex.from_facets(cx.vertices, free)
             assert complements == set(delta.facets)
 
 

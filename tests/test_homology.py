@@ -12,17 +12,16 @@ from rookideal import (
     Board,
     FieldSpec,
     SimplicialComplex,
-    SparseMatrix,
     VariableSet,
     board_symmetries,
-    boundary_matrix,
     chessboard_complex,
-    faces_of_dim,
     facet_ideal,
-    rank,
     reduced_betti,
 )
 from rookideal.monomials import _bits, _mask_of
+
+import oracles
+from oracles import boundary_matrix, rank
 
 V3 = VariableSet.generic(3)
 V4 = VariableSet.generic(4)
@@ -64,97 +63,84 @@ def test_modulus_beyond_exact_test_bound_rejected():
         FieldSpec(homology.PRIME_TEST_BOUND)
 
 
-def test_sparse_matrix_validation():
-    with pytest.raises(ValueError):
-        SparseMatrix(1, 1, ((0, 0, 0),))
-    with pytest.raises(ValueError):
-        SparseMatrix(1, 1, ((0, 1, 1),))
-    with pytest.raises(ValueError):
-        SparseMatrix(2, 2, ((0, 0, 1), (0, 0, 1)))
-
-
 class TestFaces:
+    @staticmethod
+    def faces(cx, d):
+        by_dim = homology.faces_by_dim_masks(cx.facet_masks())
+        return [tuple(_bits(m)) for m in by_dim.get(d, [])]
+
     def test_hollow_triangle_edges(self):
-        assert faces_of_dim(HOLLOW_TRIANGLE, 1) == [(0, 1), (0, 2), (1, 2)]
-        assert faces_of_dim(HOLLOW_TRIANGLE, 2) == []
+        assert self.faces(HOLLOW_TRIANGLE, 1) == [(0, 1), (0, 2), (1, 2)]
+        assert self.faces(HOLLOW_TRIANGLE, 2) == []
 
     def test_empty_face(self):
-        assert faces_of_dim(HOLLOW_TRIANGLE, -1) == [()]
-        assert faces_of_dim(SimplicialComplex.from_facets(V3, []), -1) == []
+        assert self.faces(HOLLOW_TRIANGLE, -1) == [()]
+        assert self.faces(SimplicialComplex.from_facets(V3, []), -1) == []
 
     def test_board_top_faces(self):
         cx = chessboard_complex(Board(3, 3))
-        assert len(faces_of_dim(cx, 2)) == 6
+        assert len(self.faces(cx, 2)) == 6
+        assert self.faces(cx, 2) == oracles.faces(cx.facets, 2)
 
     def test_dimension_below_minus_one(self):
-        with pytest.raises(ValueError):
-            faces_of_dim(HOLLOW_TRIANGLE, -2)
+        assert min(homology.faces_by_dim_masks(HOLLOW_TRIANGLE.facet_masks())) == -1
+        assert homology.faces_by_dim_masks(()) == {}
 
 
 class TestBoundary:
+    """The plain-rank oracle's boundary maps."""
+
     def test_single_edge(self):
-        cx = SimplicialComplex.from_facets(V3, [{0, 1}])
-        mx = boundary_matrix(cx, 1, DEFAULT_FIELD)
-        assert mx.rows == 2 and mx.cols == 1
-        values = sorted(v for _, _, v in mx.entries)
-        assert values == sorted([DEFAULT_FIELD.characteristic - 1, 1])
+        mx = boundary_matrix([(0, 1)], 1, DEFAULT_FIELD)
+        assert len(mx) == 2 and len(mx[0]) == 1
+        assert sorted(row[0] for row in mx) == sorted([DEFAULT_FIELD.characteristic - 1, 1])
         assert rank(mx, DEFAULT_FIELD) == 1
 
     def test_zeroth_map_hits_empty_face(self):
-        mx = boundary_matrix(HOLLOW_TRIANGLE, 0, DEFAULT_FIELD)
-        assert mx.rows == 1 and mx.cols == 3
-        assert all(v == 1 for _, _, v in mx.entries)
+        mx = boundary_matrix(HOLLOW_TRIANGLE.facets, 0, DEFAULT_FIELD)
+        assert mx == [[1, 1, 1]]
 
     def test_composition_vanishes(self):
-        full = SimplicialComplex.from_facets(V3, [{0, 1, 2}])
+        full = [(0, 1, 2)]
         p = DEFAULT_FIELD.characteristic
         d1 = boundary_matrix(full, 1, DEFAULT_FIELD)
         d2 = boundary_matrix(full, 2, DEFAULT_FIELD)
-        dense1 = [[0] * d1.cols for _ in range(d1.rows)]
-        for r, c, v in d1.entries:
-            dense1[r][c] = v
-        dense2 = [[0] * d2.cols for _ in range(d2.rows)]
-        for r, c, v in d2.entries:
-            dense2[r][c] = v
-        for i in range(d1.rows):
-            for j in range(d2.cols):
-                total = sum(dense1[i][k] * dense2[k][j] for k in range(d1.cols))
+        for i in range(len(d1)):
+            for j in range(len(d2[0])):
+                total = sum(d1[i][k] * d2[k][j] for k in range(len(d2)))
                 assert total % p == 0
 
 
 class TestRank:
+    """The plain-rank oracle's dense elimination."""
+
     def test_zero_matrix(self):
-        assert rank(SparseMatrix(3, 3, ()), DEFAULT_FIELD) == 0
+        assert rank([[0] * 3 for _ in range(3)], DEFAULT_FIELD) == 0
 
     def test_identity(self):
-        eye = SparseMatrix(3, 3, ((0, 0, 1), (1, 1, 1), (2, 2, 1)))
+        eye = [[int(i == j) for j in range(3)] for i in range(3)]
         assert rank(eye, DEFAULT_FIELD) == 3
         assert rank(eye, GF2) == 3
 
     def test_hollow_triangle_gf2(self):
-        assert rank(boundary_matrix(HOLLOW_TRIANGLE, 1, GF2), GF2) == 2
+        assert rank(boundary_matrix(HOLLOW_TRIANGLE.facets, 1, GF2), GF2) == 2
 
     def test_large_prime_path(self):
         # a 0/1 block whose rank is the same at 32003 and at 101
-        entries = tuple((i, j, 1) for i in range(40) for j in range(120) if (i + j) % 7 == 0)
-        mx = SparseMatrix(40, 120, entries)
+        mx = [[int((i + j) % 7 == 0) for j in range(120)] for i in range(40)]
         assert rank(mx, DEFAULT_FIELD) == rank(mx, FieldSpec(101)) == 7
 
     @pytest.mark.parametrize("p", [101, 32003, 4294967311])
     def test_entries_near_the_modulus(self, p):
-        def dense(rows):
-            entries = ((i, j, v) for i, row in enumerate(rows) for j, v in enumerate(row) if v)
-            return SparseMatrix(3, 3, tuple(entries))
-
         # rows (-1, -2, 0), (-2, -1, -1), (0, -1, -2) have determinant 7
-        rows = [(p - 1, p - 2, 0), (p - 2, p - 1, p - 1), (0, p - 1, p - 2)]
-        assert rank(dense(rows), FieldSpec(p)) == 3
+        rows = [[p - 1, p - 2, 0], [p - 2, p - 1, p - 1], [0, p - 1, p - 2]]
+        assert rank(rows, FieldSpec(p)) == 3
         # the third row replaced by the sum of the first two, written near p
-        assert rank(dense(rows[:2] + [(p - 3, p - 3, p - 1)]), FieldSpec(p)) == 2
+        assert rank(rows[:2] + [[p - 3, p - 3, p - 1]], FieldSpec(p)) == 2
 
     def test_entries_reduced_mod_p(self):
-        # 7 is a stored nonzero but vanishes mod 7
-        mx = SparseMatrix(2, 2, ((0, 0, 7), (1, 1, 1)))
+        # 7 is nonzero but vanishes mod 7
+        mx = [[7, 0], [0, 1]]
         assert rank(mx, FieldSpec(7)) == 1
         assert rank(mx, FieldSpec(5)) == 2
 
@@ -189,7 +175,7 @@ class TestReducedBetti:
         assert reduced_betti(cx, GF2) == {-1: 0, 0: 0, 1: 1, 2: 1}
 
     def test_full_simplex_acyclic(self):
-        cx = SimplicialComplex.full_simplex(V4)
+        cx = SimplicialComplex.from_facets(V4, [range(4)])
         assert not any(reduced_betti(cx, GF2).values())
 
     def test_cleared_faces_get_no_column(self, monkeypatch):
@@ -202,7 +188,7 @@ class TestReducedBetti:
         ]
         cx = SimplicialComplex.from_facets(VariableSet.generic(6), facets)
         for field in (DEFAULT_FIELD, GF2):
-            ranks = {d: rank(boundary_matrix(cx, d, field), field) for d in range(4)}
+            ranks = {d: rank(boundary_matrix(cx.facets, d, field), field) for d in range(4)}
             cleared = {d: pivot_rows(cx, d + 1, field) for d in range(3)}
             built: list[int] = []
             real = homology._boundary_column
@@ -217,7 +203,7 @@ class TestReducedBetti:
             assert len(built) == len(set(built))
             assert not set(built) & set().union(*cleared.values())
             by_dim = {d: sum(1 for m in built if m.bit_count() == d + 1) for d in range(3)}
-            room = {d: len(faces_of_dim(cx, d)) - ranks[d + 1] for d in range(3)}
+            room = {d: len(oracles.faces(cx.facets, d)) - ranks[d + 1] for d in range(3)}
             assert all(by_dim[d] <= room[d] for d in range(3))
             assert sum(by_dim.values()) < sum(room.values())
             assert by_dim[0] == 0
@@ -244,15 +230,10 @@ def pivot_rows(cx, d, field):
     plain ranks: the rows from i down have rank equal to the number of pivots
     among them, whatever column operations were made, so row i is a pivot
     exactly when including it raises that rank."""
-    mx = boundary_matrix(cx, d, field)
-
-    def rank_from(i):
-        entries = tuple((r - i, c, v) for r, c, v in mx.entries if r >= i)
-        return rank(SparseMatrix(mx.rows - i, mx.cols, entries), field)
-
-    faces = faces_of_dim(cx, d - 1)
-    tail = [rank_from(i) for i in range(mx.rows + 1)]
-    return {_mask_of(faces[i]) for i in range(mx.rows) if tail[i] > tail[i + 1]}
+    mx = boundary_matrix(cx.facets, d, field)
+    faces = oracles.faces(cx.facets, d - 1)
+    tail = [rank(mx[i:], field) for i in range(len(mx) + 1)]
+    return {_mask_of(faces[i]) for i in range(len(mx)) if tail[i] > tail[i + 1]}
 
 
 def test_plan_jobs_match_plain_ranks(monkeypatch):
@@ -269,17 +250,12 @@ def test_plan_jobs_match_plain_ranks(monkeypatch):
         real(col, pivots, p)
 
     monkeypatch.setattr(homology, "_reduce_column", watched)
-    vertices = VariableSet.generic(ideal.ambient.count)
     for route in ("hochster", "koszul"):
         for facets, _ in betti._sweep_plan(route, ideal, perms).cores:
             by_dim = homology.faces_by_dim_masks(facets)
-            cx = SimplicialComplex.from_facets(vertices, [tuple(_bits(f)) for f in facets])
+            plain_facets = [tuple(_bits(f)) for f in facets]
             for field in (DEFAULT_FIELD, GF2):
-                plain = {d: rank(boundary_matrix(cx, d, field), field) for d in by_dim if d >= 0}
-                expected = {
-                    d: len(by_dim[d]) - plain.get(d, 0) - plain.get(d + 1, 0)
-                    for d in range(-1, max(by_dim) + 1)
-                }
+                expected = oracles.plain_betti(plain_facets, field)
                 assert homology.betti_of_face_masks(by_dim, field) == expected
     betti.clear_table_cache()
     assert any(deferred)

@@ -136,22 +136,6 @@ class TestArithmetic:
         ideal = min_gens([board_mono(b, (1, 1), (2, 2))], b.vars)
         assert ideal.colon(board_mono(b, (1, 1), (2, 2), (3, 3))).is_unit
 
-    def test_colon_by_ideal(self):
-        v = VariableSet.generic(3)
-        ideal = min_gens([mono(v, 1, 1, 0), mono(v, 0, 0, 1)], v)
-        by = min_gens([mono(v, 1, 0, 0)], v)
-        assert ideal.colon_ideal(by) == min_gens([mono(v, 0, 1, 0), mono(v, 0, 0, 1)], v)
-        assert ideal.colon_ideal(MonomialIdeal.zero(v)).is_unit
-        assert ideal.colon_ideal(MonomialIdeal.unit_ideal(v)) == ideal
-
-    def test_colon_by_ideal_is_intersection_of_colons(self):
-        ideal = facet_ideal(Board(2, 3))
-        by = facet_ideal(Board(2, 3)) ** 1
-        expected = ideal.colon(by.gens[0])
-        for g in by.gens[1:]:
-            expected = expected.intersect(ideal.colon(g))
-        assert ideal.colon_ideal(by) == expected
-
 
 class TestSquarefreeSupport:
     def test_board_ideal(self):
