@@ -27,15 +27,19 @@ the list is packed once into 64-bit lanes of one int (wider lanes for points
 past 64 bits): a representative is joined with every generator, and a point
 mapped through every member, by a few big-int operations and one unpack.
 The symmetry check tests only the permutations that Dimino's method takes as
-generators. Each complex
+generators. On the lattice route a point's degree is read off its bit
+planes (bit j of every field), and a facet's variable mask off the guard
+bits of b - g. Each complex
 is cut to its strong core: dominated vertices (another vertex lies in every
 facet through them) are deleted one at a time, which keeps the homotopy type
 and so the reduced homology over every field, and a job whose core is a point
-is dropped. A core that is a join of simplex boundaries is a sphere, with one
-copy of the field in a dimension its vertex and part counts give; the plan
-adds such jobs to the table in closed form, the same for every field. Every
-other core is kept once, with the (degree, orbit size) of each job that has
-it. On the restriction route a core K is an induced subcomplex (a strong
+is dropped; with two maximal facets the core is read off at once (a point
+when they meet, else their two highest vertices). The jobs are then grouped
+by core, with the (degree, orbit size) of each job that has it, and each
+distinct core is tested once. A core that is a join of simplex boundaries is
+a sphere, with one copy of the field in a dimension its vertex and part
+counts give; the plan adds its jobs to the table in closed form, the same
+for every field. Every other core is kept once. On the restriction route a core K is an induced subcomplex (a strong
 collapse only deletes vertices), so its minimal non-faces are the generator
 supports inside its vertex set V, and its Alexander dual on V takes one pass
 over the generators. H~_e of the dual is H~_{|V|-e-3} of K over every field
@@ -189,11 +193,6 @@ def _pack(vector, width: int) -> int:
     for e in vector:
         out = (out << width) | e
     return out
-
-
-def _unpack(packed: int, width: int, count: int) -> tuple[int, ...]:
-    low = (1 << width) - 1
-    return tuple((packed >> at) & low for at in _vector_offsets(width, count))
 
 
 def _unions(g: int, points) -> set[int]:
@@ -443,7 +442,13 @@ def _strong_core(facets) -> tuple[int, ...] | None:
     left: a simplex collapses to a point. Deleting v changes only facets
     through v, so only the vertices that shared a facet with v are checked
     again. A point is contractible, so all its reduced Betti numbers are 0;
-    the irrelevant complex (0,) has no vertex and is its own core."""
+    the irrelevant complex (0,) has no vertex and is its own core.
+
+    Two maximal facets need no loop. If they meet, a vertex they share lies
+    in every facet, so every other vertex is dominated, and a deletion keeps
+    the two facets meeting: the loop ends at one simplex, a point. If they
+    are disjoint, a vertex is dominated exactly while its facet has another
+    vertex left, so deleting from the lowest up leaves the highest of each."""
     core: list[int] = []
     for f in sorted(set(facets), key=int.bit_count, reverse=True):
         for g in core:
@@ -451,6 +456,11 @@ def _strong_core(facets) -> tuple[int, ...] | None:
                 break
         else:
             core.append(f)
+    if len(core) == 2:
+        f, g = core
+        if f & g:
+            return None
+        return tuple(sorted((1 << f.bit_length() - 1, 1 << g.bit_length() - 1)))
     todo = functools.reduce(operator.or_, core, 0)
     while todo and len(core) > 1:
         bit = todo & -todo
@@ -561,30 +571,35 @@ class _SweepPlan(NamedTuple):
 
 def _gather(route: str, jobs, supports=None) -> _SweepPlan:
     """The plan of a route's (facet masks, degree, orbit size) jobs: each
-    complex is cut to its strong core; a point adds nothing, a sphere adds
-    its closed form, and every other core is kept once with all its
+    complex is cut to its strong core, a point adds nothing, and the other
+    jobs are grouped by core, in the order each core first appears. Each
+    distinct core is then tested once: a sphere adds its closed form at every
+    placement, and every other core is kept, in that order, with all its
     placements. With the generator ``supports`` (the restriction route),
-    each core K on n vertices is weighed against the strong core of its
-    Alexander dual: H~_e of the dual is H~_{n-e-3} of K over every field
-    (Bjoerner and Tancer 2009), so K is dropped when that core is a point,
-    and the dual is swept instead when it has fewer subsets."""
-    spheres: dict[tuple[int, int], int] = {}
-    cores: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    each kept core K on n vertices is weighed, once, against the strong core
+    of its Alexander dual: H~_e of the dual is H~_{n-e-3} of K over every
+    field (Bjoerner and Tancer 2009), so K is dropped when that core is a
+    point, and the dual is swept instead when it has fewer subsets."""
+    placed: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for facets, degree, weight in jobs:
         core = _strong_core(facets)
-        if core is None:
-            continue
+        if core is not None:
+            placed.setdefault(core, []).append((degree, weight))
+    spheres: dict[tuple[int, int], int] = {}
+    cores = []
+    for core, placements in placed.items():
         d = _sphere_dimension(core)
         if d is None:
-            cores.setdefault(core, []).append((degree, weight))
+            cores.append((core, placements))
             continue
-        i = _homological_index(route, degree, d)
-        if i >= 0:
-            spheres[(i, degree)] = spheres.get((i, degree), 0) + weight
+        for degree, weight in placements:
+            i = _homological_index(route, degree, d)
+            if i >= 0:
+                spheres[(i, degree)] = spheres.get((i, degree), 0) + weight
     if supports is None:
-        return _SweepPlan(spheres, list(cores.items()))
+        return _SweepPlan(spheres, cores)
     swept: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for core, placements in cores.items():
+    for core, placements in cores:
         dual = _dual_core(core, supports)
         if dual is None:
             continue
@@ -624,7 +639,11 @@ def _koszul_plan(ideal: MonomialIdeal, symmetries) -> _SweepPlan:
     ones = guards >> shift
     gens = [_pack(v, width) for v in vectors]
     images = _symmetry_images(gens, symmetries, width, offsets)
-    # the guard bits of the nonzero fields of b - g -> the mask of those variables
+    # bit plane j: bit j of every field, so b's degree is sum 2^j |b & plane j|
+    planes = [ones << j for j in range(width - 1)]
+    # the guard bit of variable i's field -> bit i, and the guard bits of the
+    # nonzero fields of b - g -> the mask of those variables
+    variable_bit = {1 << (at + width - 1): 1 << i for i, at in enumerate(offsets)}
     masks: dict[int, int] = {}
     jobs = []
     join = _swar_joins(width, count) if images is None else _lane_swar_joins(width, count)
@@ -636,11 +655,15 @@ def _koszul_plan(ideal: MonomialIdeal, symmetries) -> _SweepPlan:
         for nonzero in {(((b - g) | guards) - ones) & guards for g in divisors}:
             mask = masks.get(nonzero)
             if mask is None:
-                mask = masks[nonzero] = sum(
-                    1 << i for i, at in enumerate(offsets) if (nonzero >> (at + width - 1)) & 1
-                )
+                mask, rest = 0, nonzero
+                while rest:
+                    guard = rest & -rest
+                    rest ^= guard
+                    mask |= variable_bit[guard]
+                masks[nonzero] = mask
             facets.append(mask)
-        jobs.append((facets, sum(_unpack(b, width, count)), weight))
+        degree = sum((b & plane).bit_count() << j for j, plane in enumerate(planes))
+        jobs.append((facets, degree, weight))
     return _gather("koszul", jobs)
 
 
@@ -650,16 +673,15 @@ def _sweep_plan(route: str, ideal: MonomialIdeal, symmetries, primes=None) -> _S
     return _koszul_plan(ideal, symmetries)
 
 
-def _sweep_chunk(route: str, cores, primes) -> list[dict]:
-    """The table entries of some of a plan's distinct cores over GF(p), one
-    dict for each p in ``primes``: each core's faces are enumerated once and
-    reduced at every prime while they are in hand, and each reduced Betti
+def _sweep_chunk(route: str, cores, fields) -> list[dict]:
+    """The table entries of some of a plan's distinct cores, one dict for each
+    field in ``fields``: each core's faces are enumerated once and reduced
+    over every field while they are in hand, and each reduced Betti
     number v counts v * orbit size at every placement (degree, orbit size) of
     the core, in the homological degree _homological_index gives. At a
     placement (degree, orbit size, n), the complex swept is the dual of a
     core on n vertices, and its H~_e counts as that core's H~_{n-e-3}."""
-    fields = [FieldSpec(p) for p in primes]
-    outs: list[dict[tuple[int, int], int]] = [{} for _ in primes]
+    outs: list[dict[tuple[int, int], int]] = [{} for _ in fields]
     for facets, placements in cores:
         by_dim = faces_by_dim_masks(facets)
         for field, out in zip(fields, outs):
@@ -701,15 +723,15 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _map_chunks(worker, static, cores, primes) -> list[dict]:
-    """worker(static, chunk, primes) over chunks of a plan's distinct cores,
-    its dicts summed per prime. The chunks go to one process per usable CPU
+def _map_chunks(worker, static, cores, fields) -> list[dict]:
+    """worker(static, chunk, fields) over chunks of a plan's distinct cores,
+    its dicts summed per field. The chunks go to one process per usable CPU
     when there is more than one and the cores hold at least
     _POOL_MIN_SUBSETS subsets; otherwise the worker takes every core here."""
     subsets = sum(_subsets(facets) for facets, _ in cores)
     workers = min(_cpu_count(), len(cores)) if subsets >= _POOL_MIN_SUBSETS else 1
     if workers <= 1:
-        parts = [worker(static, cores, primes)]
+        parts = [worker(static, cores, fields)]
     else:
         # largest cores first (Graham's LPT rule), dealt round robin, so the
         # chunks that start first hold the biggest cores
@@ -719,9 +741,9 @@ def _map_chunks(worker, static, cores, primes) -> list[dict]:
         chunks = [c for c in chunks if c]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(
-                pool.map(worker, itertools.repeat(static), chunks, itertools.repeat(primes))
+                pool.map(worker, itertools.repeat(static), chunks, itertools.repeat(fields))
             )
-    totals: list[dict[tuple[int, int], int]] = [{} for _ in primes]
+    totals: list[dict[tuple[int, int], int]] = [{} for _ in fields]
     for part in parts:
         for total, entries in zip(totals, part):
             for key, v in entries.items():
@@ -767,8 +789,7 @@ def _planned_tables(route: str, ideal: MonomialIdeal, fields, symmetries, primes
     if missing:
         plan = _sweep_plan(route, ideal, symmetries, primes)
         worker = _hochster_chunk if route == "hochster" else _koszul_chunk
-        characteristics = [field.characteristic for field in missing.values()]
-        parts = _map_chunks(worker, route, plan.cores, characteristics)
+        parts = _map_chunks(worker, route, plan.cores, list(missing.values()))
         for (key, field), entries in zip(missing.items(), parts):
             for entry, v in plan.spheres.items():
                 entries[entry] = entries.get(entry, 0) + v

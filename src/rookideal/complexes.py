@@ -41,10 +41,6 @@ class SimplicialComplex:
         return not self.facets
 
     @property
-    def is_irrelevant(self) -> bool:
-        return self.facets == ((),)
-
-    @property
     def dim(self) -> int | None:
         """Dimension; None for the void complex, -1 for the irrelevant complex."""
         if self.is_void:

@@ -113,10 +113,6 @@ class Monomial:
         self._check(other)
         return all(a <= b for a, b in zip(self.exponents, other.exponents))
 
-    def lcm(self, other: "Monomial") -> "Monomial":
-        self._check(other)
-        return Monomial(self.ambient, tuple(map(max, self.exponents, other.exponents)))
-
     def __mul__(self, other: "Monomial") -> "Monomial":
         self._check(other)
         return Monomial(self.ambient, tuple(a + b for a, b in zip(self.exponents, other.exponents)))

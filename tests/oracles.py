@@ -3,7 +3,8 @@
 Everything here deliberately avoids the library's production code paths:
 covers come from full subset enumeration, Betti numbers of two-generator
 ideals from the short Taylor resolution, powers from naive product
-expansion, lcm lattices from pairwise joins of plain tuples, Hilbert series
+expansion, lcm lattices from pairwise joins of plain tuples, strong cores
+from deleting the lowest dominated vertex of plain sets, Hilbert series
 from the f-vector of the Stanley-Reisner complex (of the polarization, for an
 ideal that is not squarefree) rather than from a Betti table, boundary ranks
 from dense Gaussian elimination of each boundary map alone, and so on. The
@@ -148,6 +149,12 @@ def _product(monomials, ambient):
     return out
 
 
+def lcm(u, v):
+    """The least common multiple of two monomials over one variable set."""
+    assert u.ambient == v.ambient
+    return Monomial(u.ambient, tuple(max(a, b) for a, b in zip(u.exponents, v.exponents)))
+
+
 def taylor_two_generators(ideal):
     """Betti table of a two-generator ideal from its Taylor resolution,
     which is minimal whenever the generators form an antichain:
@@ -156,7 +163,8 @@ def taylor_two_generators(ideal):
     entries = {}
     for g in (u, v):
         entries[(0, g.degree)] = entries.get((0, g.degree), 0) + 1
-    entries[(1, u.lcm(v).degree)] = entries.get((1, u.lcm(v).degree), 0) + 1
+    top = lcm(u, v).degree
+    entries[(1, top)] = entries.get((1, top), 0) + 1
     return entries
 
 
@@ -213,6 +221,37 @@ def tuple_join_closure(vectors):
         if not fresh:
             return sorted(lattice)
         lattice |= fresh
+
+
+def unpack(packed, width, count):
+    """The exponent tuple of a packed point: count fields of width bits, the
+    first variable in the most significant one."""
+    out = []
+    for _ in range(count):
+        out.append(packed % (1 << width))
+        packed //= 1 << width
+    return tuple(reversed(out))
+
+
+def strong_core(facets):
+    """The strong core by the definition: while more than one facet is left,
+    delete the lowest dominated vertex (one for which another vertex lies in
+    every facet through it) and keep the maximal faces. None when the core is
+    one nonempty facet, a point; else the sorted facet masks."""
+    faces = {frozenset(v for v in range(m.bit_length()) if m >> v & 1) for m in facets}
+    while True:
+        faces = {f for f in faces if not any(f < g for g in faces)}
+        if len(faces) <= 1:
+            break
+        for v in sorted(set().union(*faces)):
+            if frozenset.intersection(*(f for f in faces if v in f)) - {v}:
+                break
+        else:
+            break
+        faces = {f - {v} for f in faces}
+    if len(faces) == 1 and next(iter(faces)):
+        return None
+    return tuple(sorted(sum(1 << v for v in f) for f in faces))
 
 
 def permute_packed(point, perm, width, offsets):

@@ -1,7 +1,9 @@
-"""Every public class and function is used by the system, not only by tests."""
+"""Every public class and function, and every public method and property of
+a public class, is used by the system, not only by tests."""
 
 import ast
 import inspect
+import types
 from pathlib import Path
 
 import rookideal
@@ -36,6 +38,39 @@ def _names_used(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
     return used
 
 
+def _definition(tree: ast.AST, name: str, within: str | None = None) -> ast.AST:
+    """The module-level class or function ``name``, or with ``within`` the
+    method ``name`` of the module-level class ``within``."""
+    body = tree.body
+    if within is not None:
+        body = _definition(tree, within).body
+    return next(
+        node
+        for node in body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name
+    )
+
+
+def _is_used(name: str, home: Path, trees: dict, within: str | None = None) -> bool:
+    """Whether ``name`` is read in any source; in its home module the
+    definition itself, a recursive call in it included, is no use."""
+    for path, tree in trees.items():
+        skip = _definition(tree, name, within) if path.resolve() == home else None
+        if name in _names_used(tree, skip):
+            return True
+    return False
+
+
+def _public_members(cls) -> list[str]:
+    """The public methods and properties a class defines itself."""
+    return [
+        name
+        for name, member in vars(cls).items()
+        if not name.startswith("_")
+        and isinstance(member, (property, classmethod, staticmethod, types.FunctionType))
+    ]
+
+
 def _unused_public_names() -> list[str]:
     trees = {f: ast.parse(f.read_text(), filename=str(f)) for f in _sources()}
     unused = []
@@ -44,23 +79,23 @@ def _unused_public_names() -> list[str]:
         if not (inspect.isclass(obj) or inspect.isfunction(obj)):
             continue
         home = Path(inspect.getsourcefile(obj)).resolve()
-        found = False
-        for path, tree in trees.items():
-            skip = None
-            if path.resolve() == home:
-                # the definition itself, a recursive call in it included, is no use
-                skip = next(
-                    node
-                    for node in tree.body
-                    if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name
-                )
-            if name in _names_used(tree, skip):
-                found = True
-                break
-        if not found:
+        if not _is_used(name, home, trees):
             unused.append(name)
+        if inspect.isclass(obj):
+            for member in _public_members(obj):
+                if not _is_used(member, home, trees, within=name):
+                    unused.append(f"{name}.{member}")
     return unused
 
 
 def test_every_public_class_and_function_is_used_outside_the_tests():
     assert _unused_public_names() == []
+
+
+def test_public_members_are_scanned():
+    # the scan sees methods, properties and class methods, and not fields or
+    # private helpers
+    members = _public_members(rookideal.SimplicialComplex)
+    assert {"is_void", "dim", "facet_masks", "from_facets"} <= set(members)
+    assert "facets" not in members and "vertices" not in members
+    assert all(not name.startswith("_") for name in _public_members(rookideal.Monomial))

@@ -780,6 +780,17 @@ class TestStrongCore:
         whiskered = (0b11, 0b101, 0b1001, 0b11000, 0b101000, 0b110000)
         assert _strong_core(whiskered) == (0b11000, 0b101000, 0b110000)
 
+    def test_small_families_match_the_reference_loop(self):
+        # every family of one to three facet masks on five vertices; with two
+        # maximal facets the core is read off in closed form
+        from rookideal.betti import _strong_core
+
+        for size in (1, 2, 3):
+            for facets in itertools.combinations(range(32), size):
+                assert _strong_core(facets) == oracles.strong_core(facets), facets
+        assert _strong_core((0b00111, 0b11100)) is None  # two triangles sharing a vertex
+        assert _strong_core((0b00111, 0b11000)) == (0b00100, 0b10000)  # apart: top vertices
+
     def test_plans_match_uncollapsed_plans(self, monkeypatch):
         # the plain plan reduces every job's whole complex: no strong core and
         # no sphere rule
@@ -897,6 +908,32 @@ class TestSphereCores:
         assert betti._sphere_dimension(graph) is None
         assert self.reduced(graph, DEFAULT_FIELD) == {0: 1, 1: 2}
 
+    @pytest.mark.parametrize("grouped", [False, True])
+    def test_one_sphere_test_per_distinct_core(self, monkeypatch, grouped):
+        # on the 3x4 facet plan many jobs share a core, and each distinct
+        # core that is not a point is tested once
+        from rookideal import betti
+
+        board = Board(3, 4)
+        jobs, tested = [], []
+        gather, sphere_dimension = betti._gather, betti._sphere_dimension
+
+        def recorded(route, found, *rest):
+            jobs.extend(found)
+            return gather(route, jobs, *rest)
+
+        def counted(facets):
+            tested.append(facets)
+            return sphere_dimension(facets)
+
+        monkeypatch.setattr(betti, "_gather", recorded)
+        monkeypatch.setattr(betti, "_sphere_dimension", counted)
+        symmetries = board_symmetries(board) if grouped else None
+        betti._sweep_plan("hochster", facet_ideal(board), symmetries)
+        distinct = {betti._strong_core(facets) for facets, _, _ in jobs} - {None}
+        assert len(jobs) > len(distinct) > 1
+        assert sorted(tested) == sorted(distinct)
+
     def test_one_sweep_reduces_each_distinct_core_once_per_prime(self, monkeypatch):
         from rookideal import betti
         from rookideal.homology import betti_of_face_masks, faces_by_dim_masks
@@ -988,6 +1025,38 @@ class TestSphereCores:
                 break
         betti.clear_table_cache()
         assert checked == 3 and started == [2] * 6
+
+
+class TestKoszulJobs:
+    """The lattice route's jobs: a point's degree from its bit planes and
+    its facets from the guard bits of b - g, for every field width."""
+
+    @pytest.mark.parametrize("width", [2, 3, 4, 5])
+    def test_degrees_and_facets_match_the_exponents(self, monkeypatch, width):
+        from rookideal import betti
+
+        rng = random.Random(width)
+        top = (1 << (width - 1)) - 1  # the largest exponent this width holds
+        ambient = VariableSet.generic(4)
+        jobs = []
+        monkeypatch.setattr(betti, "_gather", lambda route, found: jobs.extend(found))
+        for _ in range(6):
+            # (top, 0, 0, 0) and vectors that avoid variable 0: an antichain
+            # whose largest exponent is top
+            vectors = [(top, 0, 0, 0)] + [
+                (0, *(rng.randint(0, top) for _ in range(3))) for _ in range(rng.randint(1, 4))
+            ]
+            ideal = min_gens([Monomial(ambient, v) for v in vectors if any(v)], ambient)
+            vectors = [g.exponents for g in ideal.gens]
+            assert betti._field_width(vectors) == width
+            jobs.clear()
+            betti._koszul_plan(ideal, None)
+            lattice = oracles.tuple_join_closure(vectors)
+            assert [degree for _, degree, _ in jobs] == [sum(b) for b in lattice]
+            for (facets, _, weight), b in zip(jobs, lattice):
+                divisors = [g for g in vectors if all(map(operator.le, g, b))]
+                expected = {sum(1 << i for i in range(4) if b[i] > g[i]) for g in divisors}
+                assert sorted(facets) == sorted(expected) and weight == 1
 
 
 class TestDualCores:

@@ -141,7 +141,7 @@ class TestSubcomplexes:
         assert facets == {("x11",), ("x13",)}
 
     def test_b_single_row_board(self):
-        assert subcomplex_b(Board(1, 3), 1).is_irrelevant
+        assert subcomplex_b(Board(1, 3), 1).facets == ((),)
 
     def test_d_with_all_columns(self):
         b = Board(3, 3)

@@ -32,12 +32,12 @@ class TestFromFacets:
 
     def test_void(self):
         cx = SimplicialComplex.from_facets(V3, [])
-        assert cx.is_void and not cx.is_irrelevant
+        assert cx.is_void and cx.facets != ((),)
         assert cx.dim is None
 
     def test_irrelevant(self):
         cx = SimplicialComplex.from_facets(V3, [()])
-        assert cx.is_irrelevant and not cx.is_void
+        assert cx.facets == ((),) and not cx.is_void
         assert cx.dim == -1
 
     def test_void_and_irrelevant_differ(self):
@@ -57,7 +57,7 @@ class TestInduced:
 
     def test_empty_restriction(self):
         cx = chessboard_complex(Board(2, 2))
-        assert oracles.induced(cx, []).is_irrelevant
+        assert oracles.induced(cx, []).facets == ((),)
         assert oracles.induced(SimplicialComplex.from_facets(V3, []), []).is_void
 
     def test_matching_witness_facet_filter(self):

@@ -148,7 +148,7 @@ def test_packed_join_closure_matches_tuple_closure(vectors):
     count = len(vectors[0])
     width = betti._field_width(vectors)
     packed = betti._closure([betti._pack(v, width) for v in vectors], betti._swar_joins(width, count))
-    assert [betti._unpack(x, width, count) for x in packed] == oracles.tuple_join_closure(vectors)
+    assert [oracles.unpack(x, width, count) for x in packed] == oracles.tuple_join_closure(vectors)
 
 
 @st.composite
@@ -207,7 +207,7 @@ def test_lane_swar_join_matches_scalar_join(case):
     joins = betti._swar_joins(width, count)
     got = betti._lane_swar_joins(width, count)(gens)(point)
     assert got == [min(joins(point, [g])) for g in gens]
-    assert [betti._unpack(x, width, count) for x in got] == [tuple(map(max, r, v)) for v in vectors]
+    assert [oracles.unpack(x, width, count) for x in got] == [tuple(map(max, r, v)) for v in vectors]
 
 
 @settings(max_examples=150, deadline=None)

@@ -145,3 +145,14 @@ def test_table_digest_repeats():
     ideals = [(name, ideal, None) for name, ideal in script.random_ideals(3, script.SEED)]
     full, fewer = script.digest(ideals), script.digest(ideals[:2])
     assert full[0] != fewer[0] and full[1] > fewer[1]
+
+
+def test_table_digest_full():
+    proc = run_script("table_digest.py")
+    assert proc.returncode == 0
+    assert proc.stdout.split() == [
+        "sha256",
+        "4c80af9665d46458c03d9a174dcdddd22a7a4ad0be72e84e7935cf781d8baa37",
+        "tables",
+        "1290",
+    ]
