@@ -11,7 +11,7 @@ import json
 import sys
 import time
 
-from rookideal.verify import run_suite
+from rookideal.verify import SUITES, run_suite
 
 
 def main() -> int:
@@ -20,7 +20,7 @@ def main() -> int:
     parser.add_argument("--out", default=None, help="write the JSON report here")
     args = parser.parse_args()
 
-    suites = ["paper", "properties"] + (["long"] if args.long else [])
+    suites = [name for name in SUITES if args.long or name != "long"]
     report = {"suites": {}, "failures": 0}
     start = time.perf_counter()
     for suite in suites:

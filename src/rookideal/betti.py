@@ -109,11 +109,6 @@ class BettiTable:
     def pd(self) -> int:
         return max(i for i, _ in self.entries)
 
-    def depth(self, ambient: int | None = None) -> int:
-        if self.subject != "quotient":
-            raise ValueError("depth is read off the quotient table")
-        return (ambient if ambient is not None else self.ambient) - self.pd()
-
     def quotient(self) -> "BettiTable":
         if self.subject != "ideal":
             raise ValueError("already a quotient table")
@@ -129,9 +124,6 @@ class BettiTable:
             and self.field == other.field
             and self.entries == other.entries
         )
-
-    def __hash__(self):
-        return hash((self.subject, self.ambient, self.field, tuple(sorted(self.entries.items()))))
 
     def to_json_dict(self) -> dict:
         return {
@@ -422,8 +414,7 @@ def _orbit_jobs(gens, join, images) -> list[tuple[int, int]]:
         x = pending.pop()
         if x in seen:
             continue
-        orbit = set(images(x))
-        orbit.add(x)
+        orbit = set(images(x))  # holds x: _group lists the identity first
         seen |= orbit
         rep = min(orbit)
         jobs.append((rep, len(orbit)))
@@ -836,21 +827,6 @@ class HilbertSeries:
     def a_invariant(self) -> int:
         return len(self.numerator) - 1 - self.denominator_power
 
-    def __str__(self):
-        terms = []
-        for k, c in enumerate(self.numerator):
-            if not c:
-                continue
-            if k == 0:
-                terms.append(str(c))
-            else:
-                coeff = "" if c == 1 else ("-" if c == -1 else str(c))
-                terms.append(f"{coeff}t" + (f"^{k}" if k > 1 else ""))
-        num = " + ".join(terms).replace("+ -", "- ") if terms else "0"
-        if self.denominator_power == 0:
-            return num
-        return f"({num})/(1 - t)^{self.denominator_power}"
-
 
 def _poly_div_one_minus_t(a: list[int]) -> list[int]:
     # a(t) = (1 - t) q(t); prefix sums give q, divisibility means a(1) = 0
@@ -1011,7 +987,7 @@ class ColonStep:
 
 
 def _reg_for_bound(ideal: MonomialIdeal, field: FieldSpec) -> int | None:
-    """Ideal-level regularity with the conventions the recursions need:
+    """Ideal-level regularity with the conventions the colon recursion needs:
     the unit ideal drops out (None), the zero ideal counts as reg(S) + 1."""
     if ideal.is_unit:
         return None
@@ -1023,15 +999,13 @@ def _reg_for_bound(ideal: MonomialIdeal, field: FieldSpec) -> int | None:
 def colon_sequence_reg_bound(
     ideal: MonomialIdeal,
     order,
-    mode: str,
     field: FieldSpec = DEFAULT_FIELD,
 ) -> tuple[int, tuple[ColonStep, ...]]:
     """Replay a colon recursion and return the max-formula regularity bound.
 
-    mode='add' adjoins the monomials one at a time, each step contributing
-    reg(J : f) + deg f; mode='peel' removes the generators of the ideal in the
-    given order, each step contributing reg(J : u) + deg u - 1. The returned
-    bound always dominates reg(I).
+    The monomials of ``order`` are adjoined one at a time, each step
+    contributing reg(J : f) + deg f, and the ideal they end at contributes
+    its own regularity. The returned bound always dominates reg(I).
     """
     if ideal.is_zero or ideal.is_unit:
         raise ValueError("need a nonzero proper ideal")
@@ -1041,31 +1015,16 @@ def colon_sequence_reg_bound(
             raise ValueError("order monomial over a different variable set")
     trace: list[ColonStep] = []
     terms: list[int] = []
-    if mode == "add":
-        current = ideal
-        for idx, f in enumerate(order, start=1):
-            colon = current.colon(f)
-            creg = _reg_for_bound(colon, field)
-            term = None if creg is None else creg + f.degree
-            trace.append(ColonStep(idx, str(f), f.degree, creg, term))
-            if term is not None:
-                terms.append(term)
-            current = current + min_gens([f], ideal.ambient)
-        tail = _reg_for_bound(current, field)
-    elif mode == "peel":
-        if sorted(m.exponents for m in order) != sorted(g.exponents for g in ideal.gens):
-            raise ValueError("peel order must list the minimal generators exactly")
-        for idx, u in enumerate(order, start=1):
-            rest = min_gens(order[idx:], ideal.ambient)
-            colon = rest.colon(u)
-            creg = _reg_for_bound(colon, field)
-            term = None if creg is None else creg + u.degree - 1
-            trace.append(ColonStep(idx, str(u), u.degree, creg, term))
-            if term is not None:
-                terms.append(term)
-        tail = _reg_for_bound(MonomialIdeal.zero(ideal.ambient), field)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    current = ideal
+    for idx, f in enumerate(order, start=1):
+        colon = current.colon(f)
+        creg = _reg_for_bound(colon, field)
+        term = None if creg is None else creg + f.degree
+        trace.append(ColonStep(idx, str(f), f.degree, creg, term))
+        if term is not None:
+            terms.append(term)
+        current = current + min_gens([f], ideal.ambient)
+    tail = _reg_for_bound(current, field)
     if tail is not None:
         terms.append(tail)
         trace.append(ColonStep(0, "(tail)", 0, tail, tail, note="remaining ideal"))

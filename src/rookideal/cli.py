@@ -26,7 +26,7 @@ from .boards import (
 from .complexes import induced_matching_bound
 from .homology import DEFAULT_FIELD, FieldSpec
 from .monomials import IdealParseError, ideal_from_text
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
 LONG_GUARD_LIMIT = 1 << 20
 # generators x primes^2 counts the subset tests of Berge's cover search to
@@ -218,7 +218,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_matching)
 
     p = sub.add_parser("verify", help="run a reproduction suite")
-    p.add_argument("--suite", choices=("paper", "properties", "long"), default="paper")
+    p.add_argument("--suite", choices=tuple(SUITES), default="paper")
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -40,13 +40,6 @@ class SimplicialComplex:
     def is_void(self) -> bool:
         return not self.facets
 
-    @property
-    def dim(self) -> int | None:
-        """Dimension; None for the void complex, -1 for the irrelevant complex."""
-        if self.is_void:
-            return None
-        return max(len(f) for f in self.facets) - 1
-
     def facet_masks(self) -> tuple[int, ...]:
         return tuple(_mask_of(f) for f in self.facets)
 

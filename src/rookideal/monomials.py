@@ -205,15 +205,6 @@ class MonomialIdeal:
         if self.ambient != other.ambient:
             raise AmbientMismatch("ideals over different variable sets")
 
-    def contains(self, m: Monomial) -> bool:
-        if m.ambient != self.ambient:
-            raise AmbientMismatch("monomial over a different variable set")
-        return any(g.divides(m) for g in self.gens)
-
-    def __le__(self, other: "MonomialIdeal") -> bool:
-        self._check(other)
-        return all(other.contains(g) for g in self.gens)
-
     def __add__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check(other)
         return min_gens(self.gens + other.gens, self.ambient)

@@ -1,9 +1,13 @@
 """Reproduction catalog: named quantitative checks with frozen expected values.
 
-Every case computes its invariants at characteristic 32003 and cross-runs
-GF(2); a disagreement between the two fields fails the case with a torsion
-diagnostic instead of silently picking one. All expected values are integers
-and matches are exact.
+SUITES maps each suite name to the function that runs it: ``paper`` checks
+the paper's statements on small boards, ``properties`` checks general laws
+on a corpus and on seeded random ideals, and ``long`` holds the 4x5 board
+ideal, whose values are frozen as computed. All expected values are integers
+and matches are exact. A case read off an invariant report (_report_case)
+computes it at characteristic 32003 with a GF(2) cross-run; a disagreement
+between the two fields fails the case with a torsion diagnostic instead of
+silently picking one.
 """
 
 from __future__ import annotations
@@ -63,9 +67,23 @@ def _case(case_id, description, rule, expected, computed, t0) -> VerifyCase:
     return VerifyCase(case_id, description, rule, expected, computed, status, time.perf_counter() - t0)
 
 
-def _dual_char_report(ideal, ambient=None, symmetries=None):
-    """Invariant report at 32003 with a GF(2) cross-run folded into the flag."""
-    return invariant_report(ideal, ambient, DEFAULT_FIELD, symmetries, cross_check=True)
+_REPORT_READS = {
+    "reg": lambda rep: rep.reg,
+    "depth": lambda rep: rep.depth,
+    "a": lambda rep: rep.a_invariant,
+    "torsion": lambda rep: int(rep.torsion_warning),
+    "depth_le_dim": lambda rep: int(rep.depth <= rep.dim),
+}
+
+
+def _report_case(case_id, description, rule, expected, ideal, symmetries=None) -> VerifyCase:
+    """A case read off one invariant report at 32003 with a GF(2) cross-run
+    folded into the torsion flag: each key of ``expected`` names the value
+    read (see _REPORT_READS)."""
+    t0 = time.perf_counter()
+    rep = invariant_report(ideal, symmetries=symmetries, cross_check=True)
+    computed = {key: _REPORT_READS[key](rep) for key in expected}
+    return _case(case_id, description, rule, expected, computed, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -83,19 +101,14 @@ def _formula_prime_count(m: int, n: int) -> int:
 
 
 def _board_power_case(n: int, t: int, expected_reg: int, expected_depth: int, m: int = 2):
-    t0 = time.perf_counter()
     board = Board(m, n)
-    ideal = facet_ideal(board) ** t
-    rep = _dual_char_report(ideal, symmetries=board_symmetries(board))
-    expected = {"reg": expected_reg, "depth": expected_depth, "torsion": 0}
-    computed = {"reg": rep.reg, "depth": rep.depth, "torsion": int(rep.torsion_warning)}
-    return _case(
+    return _report_case(
         f"power-{m}x{n}-t{t}",
         f"reg and depth of the {m}x{n} board ideal power t={t}",
         f"power law for {m}-row boards",
-        expected,
-        computed,
-        t0,
+        {"reg": expected_reg, "depth": expected_depth, "torsion": 0},
+        facet_ideal(board) ** t,
+        board_symmetries(board),
     )
 
 
@@ -142,19 +155,13 @@ def paper_suite():
         )
 
     for n, t in _POWER_ROW_CASES:
-        t0 = time.perf_counter()
-        board = Board(1, n)
-        rep = _dual_char_report(facet_ideal(board) ** t)
-        expected = {"reg": t - 1, "depth": 0, "torsion": 0}
-        computed = {"reg": rep.reg, "depth": rep.depth, "torsion": int(rep.torsion_warning)}
         cases.append(
-            _case(
+            _report_case(
                 f"power-1x{n}-t{t}",
                 f"single-row board, power t={t}: zero-dimensional with linear powers",
                 "reg(S/I^t) = t - 1 and depth 0 for the full row ideal",
-                expected,
-                computed,
-                t0,
+                {"reg": t - 1, "depth": 0, "torsion": 0},
+                facet_ideal(Board(1, n)) ** t,
             )
         )
 
@@ -162,19 +169,15 @@ def paper_suite():
         cases.append(_board_power_case(n, t, 2 * t, 2))
 
     for n in (3, 4):
-        t0 = time.perf_counter()
         board = Board(3, n)
-        rep = _dual_char_report(facet_ideal(board), symmetries=board_symmetries(board))
-        expected = {"reg": 4, "depth": 4, "torsion": 0}
-        computed = {"reg": rep.reg, "depth": rep.depth, "torsion": int(rep.torsion_warning)}
         cases.append(
-            _case(
+            _report_case(
                 f"three-row-3x{n}",
                 f"reg and depth of the 3x{n} board ideal",
                 "three-row boards have reg = depth = 4",
-                expected,
-                computed,
-                t0,
+                {"reg": 4, "depth": 4, "torsion": 0},
+                facet_ideal(board),
+                board_symmetries(board),
             )
         )
 
@@ -189,7 +192,7 @@ def paper_suite():
     for name, n, expected_reg in fixture_specs:
         t0 = time.perf_counter()
         ideal = fixture_ideal(name, n)
-        rep = _dual_char_report(ideal)
+        rep = invariant_report(ideal, cross_check=True)
         suffix = "" if n is None else f"-n{n}"
         cases.append(
             _case(
@@ -206,7 +209,7 @@ def paper_suite():
         t0 = time.perf_counter()
         board = Board(m, n)
         value, witness = induced_matching_bound(chessboard_complex(board))
-        rep = _dual_char_report(facet_ideal(board), symmetries=board_symmetries(board))
+        rep = invariant_report(facet_ideal(board), symmetries=board_symmetries(board), cross_check=True)
         expected = {"bound": 2 * (m - 1), "has_witness": 1, "reg_ge_bound": 1}
         computed = {
             "bound": value,
@@ -225,55 +228,45 @@ def paper_suite():
         )
 
     for m, n in _A_INVARIANT_BOARDS:
-        t0 = time.perf_counter()
         board = Board(m, n)
-        rep = _dual_char_report(facet_ideal(board), symmetries=board_symmetries(board))
         cases.append(
-            _case(
+            _report_case(
                 f"a-invariant-{m}x{n}",
                 f"a-invariant of the {m}x{n} board quotient",
                 "a-invariant vanishes for boards with at most three rows",
                 {"a": 0, "torsion": 0},
-                {"a": rep.a_invariant, "torsion": int(rep.torsion_warning)},
-                t0,
+                facet_ideal(board),
+                board_symmetries(board),
             )
         )
 
     for m in range(1, 5):
         for n in range(m, 5):
-            t0 = time.perf_counter()
-            expected_depth = min(m, n, (m + n + 1) // 3)
+            case_id = f"blvz-{m}x{n}"
+            description = f"depth of the face ring of the {m}x{n} board complex"
+            rule = "depth = min(m, n, floor((m+n+1)/3))"
+            expected = {"depth": min(m, n, (m + n + 1) // 3), "torsion": 0}
             if (m, n) == (1, 1):
-                computed_depth, torsion = 1, 0  # zero non-face ideal: the quotient is the whole ring
+                # zero non-face ideal: the quotient is the whole ring
+                computed = {"depth": 1, "torsion": 0}
+                cases.append(_case(case_id, description, rule, expected, computed, time.perf_counter()))
             else:
                 board = Board(m, n)
-                rep = _dual_char_report(stanley_reisner_ideal(board), symmetries=board_symmetries(board))
-                computed_depth, torsion = rep.depth, int(rep.torsion_warning)
-            cases.append(
-                _case(
-                    f"blvz-{m}x{n}",
-                    f"depth of the face ring of the {m}x{n} board complex",
-                    "depth = min(m, n, floor((m+n+1)/3))",
-                    {"depth": expected_depth, "torsion": 0},
-                    {"depth": computed_depth, "torsion": torsion},
-                    t0,
-                )
-            )
+                ideal = stanley_reisner_ideal(board)
+                cases.append(_report_case(case_id, description, rule, expected, ideal, board_symmetries(board)))
 
     cases.append(_board_power_case(3, 4, 8, 1))
     cases.append(_board_power_case(4, 3, 6, 1))
 
-    t0 = time.perf_counter()
     board = Board(4, 4)
-    rep = _dual_char_report(facet_ideal(board), symmetries=board_symmetries(board))
     cases.append(
-        _case(
+        _report_case(
             "four-four",
             "reg and depth of the 4x4 board ideal",
             "reg = depth = 6 on the 4x4 board",
             {"reg": 6, "depth": 6, "torsion": 0},
-            {"reg": rep.reg, "depth": rep.depth, "torsion": int(rep.torsion_warning)},
-            t0,
+            facet_ideal(board),
+            board_symmetries(board),
         )
     )
     return cases
@@ -283,22 +276,15 @@ def long_suite():
     """Cases too slow for the paper suite. The 4x5 values are not from the
     paper: reg and depth are frozen as computed, with 32003 and GF(2)
     agreeing, so the case guards against a change in them."""
-    t0 = time.perf_counter()
     board = Board(4, 5)
-    rep = _dual_char_report(facet_ideal(board), symmetries=board_symmetries(board))
     return [
-        _case(
+        _report_case(
             "four-five",
             "reg and depth of the 4x5 board ideal (frozen, not from the paper)",
             "reg = depth = 6 as computed at 32003 and GF(2); depth <= dim",
             {"reg": 6, "depth": 6, "torsion": 0, "depth_le_dim": 1},
-            {
-                "reg": rep.reg,
-                "depth": rep.depth,
-                "torsion": int(rep.torsion_warning),
-                "depth_le_dim": int(rep.depth <= rep.dim),
-            },
-            t0,
+            facet_ideal(board),
+            board_symmetries(board),
         )
     ]
 
@@ -358,13 +344,12 @@ def _join_disjoint(i1, i2):
         gens.append(Monomial(joint, (0,) * a + g.exponents))
     first = min_gens(gens[: len(i1.gens)], joint)
     second = min_gens(gens[len(i1.gens) :], joint)
-    return joint, first, second
+    return first, second
 
 
-def _ideal_level_depth(ideal, ambient_count):
+def _ideal_level_depth(ideal):
     # depth of the ideal as a module: one more than the quotient depth
-    rep = invariant_report(ideal, ambient_count)
-    return rep.depth + 1
+    return invariant_report(ideal).depth + 1
 
 
 def properties_suite():
@@ -448,18 +433,18 @@ def properties_suite():
         amb2 = VariableSet.generic(rng.randint(1, 4), "v")
         i1 = _random_ideal(rng, amb1, 3, 2)
         i2 = _random_ideal(rng, amb2, 3, 2)
-        joint, j1, j2 = _join_disjoint(i1, i2)
+        j1, j2 = _join_disjoint(i1, i2)
         reg1 = betti_table(i1).reg()
         reg2 = betti_table(i2).reg()
         if betti_table(j1 + j2).reg() != reg1 + reg2 - 1:
             violations += 1
         if betti_table(j1 * j2).reg() != reg1 + reg2:
             violations += 1
-        d1 = _ideal_level_depth(i1, amb1.count)
-        d2 = _ideal_level_depth(i2, amb2.count)
-        if _ideal_level_depth(j1 + j2, joint.count) != d1 + d2 - 1:
+        d1 = _ideal_level_depth(i1)
+        d2 = _ideal_level_depth(i2)
+        if _ideal_level_depth(j1 + j2) != d1 + d2 - 1:
             violations += 1
-        if _ideal_level_depth(j1 * j2, joint.count) != d1 + d2:
+        if _ideal_level_depth(j1 * j2) != d1 + d2:
             violations += 1
     cases.append(
         _case(
@@ -505,7 +490,7 @@ def properties_suite():
         comp_powers.append((rep.reg, rep.depth))
     for t in (1, 2, 3):
         predicted = sum_formula_predict(comp_powers, comp_powers, t)
-        rep = _dual_char_report(square**t, symmetries=board_symmetries(board))
+        rep = invariant_report(square**t, symmetries=board_symmetries(board), cross_check=True)
         if predicted != (rep.reg, rep.depth) or rep.torsion_warning:
             bad += 1
     cases.append(
@@ -568,7 +553,7 @@ def properties_suite():
     t0 = time.perf_counter()
     board = Board(3, 3)
     f0 = facet_ideal(board)
-    depth_f0 = _dual_char_report(f0, symmetries=board_symmetries(board)).depth
+    depth_f0 = invariant_report(f0, symmetries=board_symmetries(board), cross_check=True).depth
     w_depths = []
     identity_ok = 1
     bottom = [board.cell(3, i) for i in range(1, 4)]
@@ -592,7 +577,7 @@ def properties_suite():
                 identity_ok = 0
             if f_w.is_unit or f_w.is_zero:
                 continue
-            w_depths.append(invariant_report(f_w, ambient_count=9).depth)
+            w_depths.append(invariant_report(f_w).depth)
     cases.append(
         _case(
             "subset-colon-depth-bound",
@@ -611,7 +596,7 @@ def properties_suite():
         lifted = [
             Monomial(board.vars, g.exponents + (0,) * n) for g in order
         ]
-        bound, trace = colon_sequence_reg_bound(facet_ideal(board), lifted, "add")
+        bound, trace = colon_sequence_reg_bound(facet_ideal(board), lifted)
         step_regs = [s.colon_reg for s in trace if s.note == "" and s.colon_reg is not None]
         cases.append(
             _case(
@@ -700,11 +685,10 @@ def properties_suite():
     return cases
 
 
+SUITES = {"paper": paper_suite, "properties": properties_suite, "long": long_suite}
+
+
 def run_suite(name: str):
-    if name == "paper":
-        return paper_suite()
-    if name == "properties":
-        return properties_suite()
-    if name == "long":
-        return long_suite()
-    raise ValueError(f"unknown suite {name!r}")
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}")
+    return SUITES[name]()

@@ -168,13 +168,20 @@ def taylor_two_generators(ideal):
     return entries
 
 
+def contains(ideal, m):
+    """Whether the monomial ideal holds the monomial: some generator divides
+    it, exponent by exponent."""
+    assert m.ambient == ideal.ambient
+    return any(all(a <= b for a, b in zip(g.exponents, m.exponents)) for g in ideal.gens)
+
+
 def membership_faces(ideal, subset):
     """Faces of the monomial-free complex inside a vertex subset, from the
     definition: a set is a face iff its squarefree product avoids the ideal."""
     out = []
     for size in range(len(subset) + 1):
         for combo in itertools.combinations(sorted(subset), size):
-            if not ideal.contains(Monomial.from_support(ideal.ambient, combo)):
+            if not contains(ideal, Monomial.from_support(ideal.ambient, combo)):
                 out.append(combo)
     return out
 

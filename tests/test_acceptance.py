@@ -7,14 +7,22 @@ The 4x5 board ideal's reg and depth are frozen computed values, not claims
 of the paper.
 """
 
+import hashlib
+import json
+
 import pytest
 
-from rookideal.verify import long_suite, paper_suite, properties_suite
+from rookideal.verify import SUITES, run_suite
 
 
 @pytest.fixture(scope="module")
-def paper_cases():
-    return {case.id: case for case in paper_suite()}
+def catalog():
+    return {suite: run_suite(suite) for suite in SUITES}
+
+
+@pytest.fixture(scope="module")
+def paper_cases(catalog):
+    return {case.id: case for case in catalog["paper"]}
 
 
 def _check(name, cases):
@@ -95,8 +103,8 @@ def test_criterion_9_face_ring_depth(paper_cases):
     _check("9 face-ring depth cross-check", cases)
 
 
-def test_criterion_11_property_suite():
-    _check("11 property suite", properties_suite())
+def test_criterion_11_property_suite(catalog):
+    _check("11 property suite", catalog["properties"])
 
 
 def test_criterion_4_depth_drop_2x4(paper_cases):
@@ -105,8 +113,8 @@ def test_criterion_4_depth_drop_2x4(paper_cases):
     _check("4 two-row depth drop (2x4, t=3)", cases)
 
 
-def test_long_four_by_five():
-    cases = long_suite()
+def test_long_four_by_five(catalog):
+    cases = catalog["long"]
     assert [c.id for c in cases] == ["four-five"]
     _check("long four-by-five (frozen computed values)", cases)
 
@@ -115,3 +123,18 @@ def test_criterion_10_four_by_four(paper_cases):
     cases = _select(paper_cases, "four-four")
     assert len(cases) == 1
     _check("10 four-by-four stretch", cases)
+
+
+def test_catalog_digest(catalog):
+    # fails on any change to a case's suite, id, description, rule or
+    # expected values, or to the order of the suites and their cases
+    rows = [
+        [suite, case.id, case.description, case.rule, case.expected]
+        for suite, cases in catalog.items()
+        for case in cases
+    ]
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+    assert (len(rows), digest) == (
+        95,
+        "b9e4e8548b8c5c7f187aec513a5a55b0607ac426068508eddc2387e54d3a7fc7",
+    )

@@ -1,5 +1,14 @@
 """Every public class and function, and every public method and property of
-a public class, is used by the system, not only by tests."""
+a public class, is used by the system, not only by tests.
+
+A class or function is used where a system source names it. A property is
+used where any attribute of its name is read. A method is used only where a
+system source calls an attribute of its name (``x.name(...)``) or reads it
+through its class (``key=Monomial.sort_key``), so a method that shares its
+name with a field of another class (``BettiTable.reg()`` and
+``InvariantReport.reg``) is not used where only that field is read. Dunders
+are not scanned: the operators that call them cannot be told apart by
+name."""
 
 import ast
 import inspect
@@ -21,9 +30,11 @@ def _sources() -> list[Path]:
     return files
 
 
-def _names_used(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+def _names_used(tree: ast.AST, skip: ast.AST | None = None, method_of: str | None = None) -> set[str]:
     """The names and attribute names read anywhere in the tree, leaving out
-    the subtree ``skip``; imports are not uses."""
+    the subtree ``skip``; imports are not uses. With ``method_of`` (a class
+    name) only attribute names count, and only where they are called or
+    read through that class."""
     used = set()
     stack = [tree]
     while stack:
@@ -31,9 +42,14 @@ def _names_used(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
         if node is skip:
             continue
         if isinstance(node, ast.Name):
-            used.add(node.id)
+            if method_of is None:
+                used.add(node.id)
         elif isinstance(node, ast.Attribute):
-            used.add(node.attr)
+            through_class = isinstance(node.value, ast.Name) and node.value.id == method_of
+            if method_of is None or through_class:
+                used.add(node.attr)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            used.add(node.func.attr)
         stack.extend(ast.iter_child_nodes(node))
     return used
 
@@ -51,24 +67,27 @@ def _definition(tree: ast.AST, name: str, within: str | None = None) -> ast.AST:
     )
 
 
-def _is_used(name: str, home: Path, trees: dict, within: str | None = None) -> bool:
+def _is_used(
+    name: str, home: Path, trees: dict, within: str | None = None, method: bool = False
+) -> bool:
     """Whether ``name`` is read in any source; in its home module the
-    definition itself, a recursive call in it included, is no use."""
+    definition itself, a recursive call in it included, is no use. A
+    ``method`` of the class ``within`` must be called or read through it."""
     for path, tree in trees.items():
         skip = _definition(tree, name, within) if path.resolve() == home else None
-        if name in _names_used(tree, skip):
+        if name in _names_used(tree, skip, within if method else None):
             return True
     return False
 
 
-def _public_members(cls) -> list[str]:
-    """The public methods and properties a class defines itself."""
-    return [
-        name
+def _public_members(cls) -> dict:
+    """The public methods and properties a class defines itself, by name."""
+    return {
+        name: member
         for name, member in vars(cls).items()
         if not name.startswith("_")
         and isinstance(member, (property, classmethod, staticmethod, types.FunctionType))
-    ]
+    }
 
 
 def _unused_public_names() -> list[str]:
@@ -82,8 +101,9 @@ def _unused_public_names() -> list[str]:
         if not _is_used(name, home, trees):
             unused.append(name)
         if inspect.isclass(obj):
-            for member in _public_members(obj):
-                if not _is_used(member, home, trees, within=name):
+            for member, value in _public_members(obj).items():
+                method = not isinstance(value, property)
+                if not _is_used(member, home, trees, within=name, method=method):
                     unused.append(f"{name}.{member}")
     return unused
 
@@ -96,6 +116,11 @@ def test_public_members_are_scanned():
     # the scan sees methods, properties and class methods, and not fields or
     # private helpers
     members = _public_members(rookideal.SimplicialComplex)
-    assert {"is_void", "dim", "facet_masks", "from_facets"} <= set(members)
+    assert {"is_void", "facet_masks", "from_facets"} <= set(members)
     assert "facets" not in members and "vertices" not in members
     assert all(not name.startswith("_") for name in _public_members(rookideal.Monomial))
+
+
+def test_a_method_is_used_only_where_called_or_read_through_its_class():
+    tree = ast.parse("depth = rep.depth\nt.reg()\nsorted(gens, key=Monomial.sort_key)\nx.lcm")
+    assert _names_used(tree, method_of="Monomial") == {"reg", "sort_key"}

@@ -72,7 +72,7 @@ class TestHochsterRoute:
         quotient = betti_table_hochster(facet_ideal(Board(2, 3))).quotient()
         assert quotient.reg() == 2
         assert quotient.pd() == 4
-        assert quotient.depth() == 2
+        assert quotient.ambient - quotient.pd() == 2
 
     def test_three_by_three_board(self):
         quotient = betti_table_hochster(facet_ideal(Board(3, 3))).quotient()
@@ -374,10 +374,12 @@ class TestSweepPlan:
         assert _counts(built) == {"hochster": 1, "koszul": 1}
 
     def test_dual_char_report_builds_one_plan(self, built):
-        from rookideal.verify import _dual_char_report
+        # a catalog case reads every value off one cross-checked report
+        from rookideal.verify import _report_case
 
-        report = _dual_char_report(fixture_ideal("L_six"))
-        assert report.reg == 2 and not report.torsion_warning
+        expected = {"reg": 2, "depth": 2, "a": 0, "torsion": 0, "depth_le_dim": 1}
+        case = _report_case("L_six", "", "", expected, fixture_ideal("L_six"))
+        assert case.computed == expected
         assert sum(_counts(built).values()) == 1
 
     def test_cross_checked_report_is_one_pass(self, built, monkeypatch):
@@ -1216,18 +1218,9 @@ class TestTerai:
 
 
 class TestColonSequence:
-    def test_peel_two_disjoint_edges(self):
-        vs = VariableSet.generic(4)
-        ideal = min_gens(
-            [Monomial(vs, (1, 1, 0, 0)), Monomial(vs, (0, 0, 1, 1))], vs
-        )
-        bound, trace = colon_sequence_reg_bound(ideal, list(ideal.gens), "peel")
-        assert bound == 3 == betti_table(ideal).reg()
-        assert len(trace) == 3
-
     def test_add_empty_order_degenerates(self):
         ideal = facet_ideal(Board(2, 2))
-        bound, trace = colon_sequence_reg_bound(ideal, [], "add")
+        bound, trace = colon_sequence_reg_bound(ideal, [])
         assert bound == betti_table(ideal).reg()
         assert len(trace) == 1
 
@@ -1235,22 +1228,11 @@ class TestColonSequence:
         board = Board(3, 3)
         two_row = facet_ideal(Board(2, 3))
         lifted = [Monomial(board.vars, g.exponents + (0,) * 3) for g in two_row.gens]
-        bound, trace = colon_sequence_reg_bound(facet_ideal(board), lifted, "add")
+        bound, trace = colon_sequence_reg_bound(facet_ideal(board), lifted)
         steps = [s for s in trace if not s.note]
         assert all(s.colon_reg <= 3 for s in steps)
         assert bound <= 5
         assert betti_table(facet_ideal(board)).reg() <= bound
-
-    def test_peel_requires_exact_generators(self):
-        ideal = facet_ideal(Board(2, 2))
-        with pytest.raises(ValueError):
-            colon_sequence_reg_bound(ideal, [ideal.gens[0]], "peel")
-
-    def test_bound_dominates_reg_on_random_orders(self):
-        ideal = facet_ideal(Board(2, 3))
-        true_reg = betti_table(ideal).reg()
-        bound, _ = colon_sequence_reg_bound(ideal, list(ideal.gens), "peel")
-        assert bound >= true_reg
 
 
 class TestSumFormula:

@@ -33,12 +33,10 @@ class TestFromFacets:
     def test_void(self):
         cx = SimplicialComplex.from_facets(V3, [])
         assert cx.is_void and cx.facets != ((),)
-        assert cx.dim is None
 
     def test_irrelevant(self):
         cx = SimplicialComplex.from_facets(V3, [()])
         assert cx.facets == ((),) and not cx.is_void
-        assert cx.dim == -1
 
     def test_void_and_irrelevant_differ(self):
         void = SimplicialComplex.from_facets(V3, [])
