@@ -20,7 +20,10 @@ one job per orbit and each orbit's complex, degree and size. Without
 symmetries the lattice is closed a generator at a time and every point is a
 job. With symmetries the lattice is never closed or sorted: the sweep starts
 from the generators' orbits and joins each new orbit representative with
-every generator, and a point is mapped through every member of the group by
+every generator, one level at a time (the level of a point counts its
+fields whose top value bit is set; it is the same on a whole orbit, and no
+join lowers it), so it keeps only the current level's points to tell a new
+orbit from an old one. A point is mapped through every member of the group by
 per-chunk image tables (the images of every 4-bit chunk value under every
 member, built once). Both inner loops apply one point to a fixed list, so
 the list is packed once into 64-bit lanes of one int (wider lanes for points
@@ -391,7 +394,21 @@ def _group(perms, count: int, admit) -> list[tuple[int, ...]]:
     return group
 
 
-def _orbit_jobs(gens, join, images) -> list[tuple[int, int]]:
+def _level_plane(width: int, count: int) -> int:
+    """P, the top value bit of each of ``count`` fields of ``width`` bits: the
+    bit under the guard, or the field's one bit when it has no guard (width 1,
+    bitmasks). A point y lies on level popcount(y & P), the number of its
+    fields whose top value bit is set; on bitmasks that is the degree."""
+    top = max(width - 2, 0)
+    return sum(1 << (at + top) for at in _vector_offsets(width, count))
+
+
+def _levels(points, plane: int):
+    """The level (see _level_plane) of each point, in order."""
+    return map(int.bit_count, map(operator.and_, points, itertools.repeat(plane)))
+
+
+def _orbit_jobs(gens, join, images, plane: int) -> list[tuple[int, int]]:
     """The closure of the generators under the join as (representative,
     orbit size) jobs, sorted; a representative is the least point of its
     orbit. Without symmetries ``join`` is a scalar join (see _closure) and
@@ -400,25 +417,52 @@ def _orbit_jobs(gens, join, images) -> list[tuple[int, int]]:
     With symmetries ``join`` is a lane builder (see _lane_unions), and the
     closure is never built: the sweep starts from the generators' orbits and
     joins each new representative r with every generator, through the lanes
-    it packs once; a point not yet seen starts a new orbit. This reaches every orbit: the closure is made
-    of joins x v g with x in it, and if x = pi(r) then x v g =
-    pi(r v pi^-1(g)), where pi^-1(g) is again a generator."""
+    it packs once. This reaches every orbit: the closure is made of joins
+    x v g with x in it, and if x = pi(r) then x v g = pi(r v pi^-1(g)),
+    where pi^-1(g) is again a generator.
+
+    The sweep goes one level (see _level_plane; ``plane`` is P) at a time,
+    lowest first. A symmetry moves whole fields, so every orbit lies in one
+    level, and a field whose top value bit is set keeps it under a join, so
+    r v g never lies below r's level. So a level gets no new candidate once
+    it is done, and only the current level's points are kept to tell a new
+    orbit from an old one; the joins bound for a later level wait in that
+    level's set. On packed vectors a join can stay on r's level; it is
+    swept in the next round of the same level."""
     if images is None:
         return [(x, 1) for x in _closure(gens, join)]
     gens = set(gens)
     join_all = join(gens)
-    seen: set[int] = set()
+    ahead: dict[int, set[int]] = {}  # level -> joins waiting for it
+
+    def defer(points):
+        # C-level maps and one compress pass per level present, so no
+        # Python-level step per point
+        points = list(points)
+        levels = list(_levels(points, plane))
+        for level in set(levels):
+            ahead.setdefault(level, set()).update(
+                itertools.compress(points, map(operator.eq, levels, itertools.repeat(level)))
+            )
+
+    defer(gens)
     jobs = []
-    pending = list(gens)
-    while pending:
-        x = pending.pop()
-        if x in seen:
-            continue
-        orbit = set(images(x))  # holds x: _group lists the identity first
-        seen |= orbit
-        rep = min(orbit)
-        jobs.append((rep, len(orbit)))
-        pending.extend(set(join_all(rep)) - seen)
+    while ahead:
+        level = min(ahead)
+        pending = ahead.pop(level)
+        seen: set[int] = set()
+        while pending:
+            joined: set[int] = set()
+            for x in pending:
+                if x in seen:
+                    continue
+                orbit = set(images(x))  # holds x: _group lists the identity first
+                seen |= orbit
+                rep = min(orbit)
+                jobs.append((rep, len(orbit)))
+                joined.update(join_all(rep))
+            defer(joined - seen)
+            pending = ahead.pop(level, ())
     jobs.sort()
     return jobs
 
@@ -615,7 +659,9 @@ def _hochster_plan(ideal: MonomialIdeal, symmetries, primes=None) -> _SweepPlan:
         "hochster",
         (
             ({f & sigma for f in delta_facets}, sigma.bit_count(), weight)
-            for sigma, weight in _orbit_jobs(gens, _unions if images is None else _lane_unions, images)
+            for sigma, weight in _orbit_jobs(
+                gens, _unions if images is None else _lane_unions, images, _level_plane(1, count)
+            )
         ),
         gens,
     )
@@ -638,7 +684,7 @@ def _koszul_plan(ideal: MonomialIdeal, symmetries) -> _SweepPlan:
     masks: dict[int, int] = {}
     jobs = []
     join = _swar_joins(width, count) if images is None else _lane_swar_joins(width, count)
-    for b, weight in _orbit_jobs(gens, join, images):
+    for b, weight in _orbit_jobs(gens, join, images, _level_plane(width, count)):
         bg = b | guards
         facets = []
         # the upper Koszul complex at b has a facet {i : b_i > g_i} for each g | b

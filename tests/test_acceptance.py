@@ -4,7 +4,8 @@ All values are exact integers, computed at characteristic 32003 with a GF(2)
 cross-run; a field disagreement fails the criterion with a torsion diagnostic.
 One summary line prints per criterion (run with -s to see them on success).
 The 4x5 board ideal's reg and depth are frozen computed values, not claims
-of the paper.
+of the paper, and so are the 4x6 and 5x5 values of the frontier tests
+(deselected by default; run with -m frontier).
 """
 
 import hashlib
@@ -12,6 +13,14 @@ import json
 
 import pytest
 
+from rookideal import (
+    Board,
+    board_symmetries,
+    chessboard_complex,
+    facet_ideal,
+    induced_matching_bound,
+    invariant_report,
+)
 from rookideal.verify import SUITES, run_suite
 
 
@@ -117,6 +126,21 @@ def test_long_four_by_five(catalog):
     cases = catalog["long"]
     assert [c.id for c in cases] == ["four-five"]
     _check("long four-by-five (frozen computed values)", cases)
+
+
+@pytest.mark.frontier
+@pytest.mark.parametrize("m, n", [(4, 6), (5, 5)])
+def test_frontier_board(m, n):
+    # computed at 32003 with a GF(2) cross-run, not from the paper, which
+    # proves its bounds attained for m <= 3 only: reg = depth = 2(m-1), the
+    # induced-matching bound that two disjoint placements give
+    board = Board(m, n)
+    report = invariant_report(facet_ideal(board), symmetries=board_symmetries(board), cross_check=True)
+    bound, witness = induced_matching_bound(chessboard_complex(board), 2)
+    print(f"FRONTIER {m}x{n}: reg {report.reg} depth {report.depth} a {report.a_invariant} ({report.wall_ms / 1000:.1f}s)")
+    assert (report.reg, report.depth, report.a_invariant) == (2 * (m - 1), 2 * (m - 1), 0)
+    assert not report.torsion_warning
+    assert bound == 2 * (m - 1) and len(witness) == 2 and report.reg >= bound
 
 
 def test_criterion_10_four_by_four(paper_cases):

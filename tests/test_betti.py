@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import operator
 import random
@@ -500,12 +501,10 @@ class TestSweepPlan:
         clear_table_cache()
 
 
-def _board_cases(board, t, seed):
-    """The board ideal power with its symmetry group, and a copy relabelled
-    by a seeded permutation sigma with the group conjugated to match: the
-    permutation pi becomes sigma pi sigma^-1."""
-    ideal = facet_ideal(board) ** t
-    perms = board_symmetries(board)
+def _labellings(ideal, perms, seed):
+    """The ideal with its symmetry group, and a copy relabelled by a seeded
+    permutation sigma with the group conjugated to match: the permutation pi
+    becomes sigma pi sigma^-1."""
     count = ideal.ambient.count
     sigma = list(range(count))
     random.Random(seed).shuffle(sigma)
@@ -514,15 +513,20 @@ def _board_cases(board, t, seed):
     return [(ideal, perms), (ideal.permuted(sigma), conjugated)]
 
 
+def _board_cases(board, t, seed):
+    """The board ideal power in both labellings (see _labellings)."""
+    return _labellings(facet_ideal(board) ** t, board_symmetries(board), seed)
+
+
 class TestOrbitSweep:
     """With symmetries the plan joins orbit representatives with the
     generators instead of closing the whole lattice."""
 
     @staticmethod
     def lattices(ideal, perms):
-        """(generators, join, lane join, closure, images) for each lattice
-        the ideal's routes sweep: the union lattice of a squarefree ideal and
-        the lcm lattice of any."""
+        """(generators, join, lane join, closure, images, field width) for
+        each lattice the ideal's routes sweep: the union lattice of a
+        squarefree ideal (width 1) and the lcm lattice of any."""
         from rookideal import betti
 
         count = ideal.ambient.count
@@ -531,23 +535,28 @@ class TestOrbitSweep:
             masks = [g.support_mask() for g in ideal.gens]
             images = betti._symmetry_images(masks, perms, 1, list(range(count)))
             closure = betti._closure(masks, betti._unions)
-            out.append((masks, betti._unions, betti._lane_unions, closure, images))
+            out.append((masks, betti._unions, betti._lane_unions, closure, images, 1))
         vectors = [g.exponents for g in ideal.gens]
         width = betti._field_width(vectors)
         gens = [betti._pack(v, width) for v in vectors]
         images = betti._symmetry_images(gens, perms, width, betti._vector_offsets(width, count))
         joins, lanes = betti._swar_joins(width, count), betti._lane_swar_joins(width, count)
-        out.append((gens, joins, lanes, betti._closure(gens, joins), images))
+        out.append((gens, joins, lanes, betti._closure(gens, joins), images, width))
         return out
 
-    @pytest.mark.parametrize("m, n, t", [(2, 3, 1), (2, 3, 2), (2, 3, 3), (2, 4, 1), (2, 4, 2), (3, 4, 1)])
+    @pytest.mark.parametrize(
+        "m, n, t",
+        [(2, 3, 1), (2, 3, 2), (2, 3, 3), (2, 4, 1), (2, 4, 2), (3, 4, 1), (3, 3, 1), (3, 3, 2), (4, 4, 1)],
+    )
     def test_orbits_partition_the_closure(self, m, n, t):
+        # the square boards' groups hold the transpose
         from rookideal import betti
 
         for ideal, perms in _board_cases(Board(m, n), t, seed=100 * m + 10 * n + t):
-            for gens, joins, lanes, closure, images in self.lattices(ideal, perms):
-                assert betti._orbit_jobs(gens, joins, None) == [(x, 1) for x in closure]
-                jobs = betti._orbit_jobs(gens, lanes, images)
+            for gens, joins, lanes, closure, images, width in self.lattices(ideal, perms):
+                plane = betti._level_plane(width, ideal.ambient.count)
+                assert betti._orbit_jobs(gens, joins, None, plane) == [(x, 1) for x in closure]
+                jobs = betti._orbit_jobs(gens, lanes, images, plane)
                 assert sum(weight for _, weight in jobs) == len(closure)
                 covered = set()
                 for rep, weight in jobs:
@@ -556,6 +565,76 @@ class TestOrbitSweep:
                     assert covered.isdisjoint(orbit)  # no two representatives share an orbit
                     covered |= orbit
                 assert covered == set(closure)
+
+    @pytest.mark.parametrize(
+        "m, n, t, width",
+        [(3, 3, 1, 2), (2, 4, 1, 2), (2, 3, 2, 3), (3, 3, 2, 3), (2, 2, 4, 4), (1, 4, 5, 4), (2, 2, 8, 5), (1, 3, 8, 5)],
+    )
+    def test_levels_are_orbit_invariants_that_no_join_lowers(self, m, n, t, width):
+        # the orbit sweep drops a level's points once the level is done: that
+        # is sound only when each orbit lies in one level and r v g never
+        # lies below r's level; checked on the lattice points and on random
+        # points of every field range, for bitmasks and packed vectors
+        from rookideal import betti
+
+        rng = random.Random(1000 * width + 100 * m + 10 * n + t)
+        for ideal, perms in _board_cases(Board(m, n), t, seed=100 * m + 10 * n + t):
+            count = ideal.ambient.count
+            for gens, joins, _, closure, images, bits in self.lattices(ideal, perms):
+                assert bits in (1, width)
+                plane = betti._level_plane(bits, count)
+                values = 1 << max(bits - 1, 1)  # a field holds 0 .. values - 1
+                points = closure + [
+                    betti._pack([rng.randrange(values) for _ in range(count)], bits) for _ in range(60)
+                ]
+                for x in points:
+                    (level,) = betti._levels([x], plane)
+                    assert set(betti._levels(images(x), plane)) == {level}
+                    assert min(betti._levels(joins(x, gens), plane)) >= level
+
+    @pytest.mark.parametrize(
+        "kind, m, n, t, digest",
+        [
+            ("facet", 3, 4, 1, "f94c0db1e262d3fd"),
+            ("facet", 4, 4, 1, "a0ffa79f4dd55b73"),
+            ("sr", 3, 5, 1, "107b2f02c5e7c30e"),
+            ("facet", 2, 3, 4, "5d635055d6a461a1"),
+            ("facet", 1, 6, 3, "ed4646bea26df34a"),
+        ],
+    )
+    def test_plans_do_not_change(self, kind, m, n, t, digest):
+        # every sphere entry, core and placement of both routes' plans, in
+        # both labellings, hashed; the values are the plans of the sweep that
+        # kept every lattice point in one seen set
+        from rookideal import betti
+
+        board = Board(m, n)
+        ideal = (facet_ideal if kind == "facet" else stanley_reisner_ideal)(board) ** t
+        plans = []
+        for labelled, perms in _labellings(ideal, board_symmetries(board), seed=100 * m + 10 * n + t):
+            if labelled.is_squarefree:
+                plans.append(betti._hochster_plan(labelled, perms))
+            plans.append(betti._koszul_plan(labelled, perms))
+        rows = [(sorted(plan.spheres.items()), plan.cores) for plan in plans]
+        assert hashlib.sha256(repr(rows).encode()).hexdigest()[:16] == digest
+
+    def test_orbit_sweep_keeps_one_level_of_points(self):
+        # the SR 4x4 plan (1,152 symmetries) peaks at about 1.8 MB under
+        # tracemalloc; keeping every lattice point seen peaked at 4.9 MB
+        import tracemalloc
+
+        from rookideal import betti
+
+        board = Board(4, 4)
+        ideal = stanley_reisner_ideal(board)
+        perms, primes = board_symmetries(board), ideal.minimal_primes()
+        tracemalloc.start()
+        try:
+            betti._hochster_plan(ideal, perms, primes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3_000_000
 
     def test_duplicate_symmetries_give_the_same_jobs(self):
         from rookideal import betti
