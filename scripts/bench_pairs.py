@@ -11,9 +11,11 @@ left over from earlier runs. For each workload and each of the N seeds from
 --first-seed on (1 by default; seeds not used while a change was written
 check its claim), ``perfbench/run.py --workload W --seed s --seconds S
 --trace T`` runs once on each side, one run at a time; odd seeds run the base
-first, even seeds the change first. The JSON report holds, per workload,
---trace setting and seed range, every run's last line (perfbench's result
-object) and, per metric, the quartiles of each side, the ratio of the medians
+first, even seeds the change first. ``--workload all`` stands for every
+workload BENCHMARK.json declares, each run and reported on its own, so each
+keeps its own ``attempted`` and ``failed`` counts. The JSON report holds,
+per workload, --trace setting and seed range, every run's last line
+(perfbench's result object) and, per metric, the quartiles of each side, the ratio of the medians
 (change over base), the number of pairs in which the change read lower, and
 whether a claim that the change lowers the metric meets the rule for a gain:
 lower in at least 9/10 of the pairs, and the median lower by more than the
@@ -37,6 +39,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+
+
+def workload_names(requested: list[str]) -> list[str]:
+    """The workloads to run, with ``all`` expanded into the names that
+    BENCHMARK.json declares."""
+    declared = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]]
+    return [name for want in requested for name in (declared if want == "all" else [want])]
 
 
 def extract_revision(rev: str, dest: Path) -> str:
@@ -128,7 +137,7 @@ def main(argv=None) -> int:
         report["parent_commit"] = extract_revision(args.base, checkouts["parent"])
         report["change"] = "working tree"
         copy_working_tree(checkouts["change"])
-        for workload in args.workload:
+        for workload in workload_names(args.workload):
             pairs = []
             seeds = range(args.first_seed, args.first_seed + args.seeds)
             for seed in seeds:

@@ -50,11 +50,15 @@ over the generators. H~_e of the dual is H~_{|V|-e-3} of K over every field
 when the dual's strong core is a point, and that core is swept in K's place
 when it has fewer subsets (sum 2^|facet|). The lattice route keeps its
 cores, so the two routes stay independent computations. One sweep serves
-every field asked for at once: it enumerates each distinct core's faces
-once and reduces them at each prime while they are in hand, so only one
-core's faces are held at a time. Nothing but the finished
-tables is kept; clear_table_cache() drops them. A cross-checked report
-sweeps once for its two fields, 32003 and GF(2), and finds the minimal
+every field asked for at once: it builds each distinct core's faces once,
+as one bitmap per dimension (rookideal.homology), and reduces them while
+they are in hand, so only one core's faces are held at a time. The
+reduction runs once, over the integers, and when every pivot it meets is
++-1 its ranks hold at every prime; the GF(2) cross-run then reads the same
+ranks, the proof that the core has no torsion, instead of reducing again.
+Only a core that meets another pivot is reduced at each prime. Nothing but
+the finished tables is kept; clear_table_cache() drops them. A
+cross-checked report sweeps once for its two fields, 32003 and GF(2), and finds the minimal
 primes once (their complements are the facets of the squarefree route's
 complex; their sizes give the report's height, dim and bight), by Berge's
 sequential transversal method, handing them to the plan. A report reads the
@@ -577,8 +581,8 @@ def _homological_index(route: str, degree: int, d: int) -> int:
 
 
 def _subsets(facets) -> int:
-    """sum 2^|facet|: the subsets a face enumeration builds, the measure of a
-    core's cost."""
+    """sum 2^|facet|, counting each face once per facet that holds it: the
+    measure of a core's cost (see _POOL_MIN_SUBSETS)."""
     return sum(1 << f.bit_count() for f in facets)
 
 
@@ -712,8 +716,9 @@ def _sweep_plan(route: str, ideal: MonomialIdeal, symmetries, primes=None) -> _S
 
 def _sweep_chunk(route: str, cores, fields) -> list[dict]:
     """The table entries of some of a plan's distinct cores, one dict for each
-    field in ``fields``: each core's faces are enumerated once and reduced
-    over every field while they are in hand, and each reduced Betti
+    field in ``fields``: each core's faces are built once and reduced while
+    they are in hand, by one integer reduction for every field unless the
+    core meets a pivot other than +-1, and each reduced Betti
     number v counts v * orbit size at every placement (degree, orbit size) of
     the core, in the homological degree _homological_index gives. At a
     placement (degree, orbit size, n), the complex swept is the dual of a
@@ -731,6 +736,7 @@ def _sweep_chunk(route: str, cores, fields) -> list[dict]:
                     if i >= 0:
                         key = (i, degree)
                         out[key] = out.get(key, 0) + v * weight
+        del by_dim  # before the next core's bitmaps are built
     return outs
 
 
@@ -741,13 +747,19 @@ _hochster_chunk = _koszul_chunk = _sweep_chunk
 
 # A pool pays for its start-up and for pickling the cores only on big plans.
 # The sweep's work grows with the subsets of the cores' facets, sum 2^|facet|
-# over the distinct cores. Measured on a shared 2-vCPU guest, both fields,
-# the sweep alone, two series of medians of 7: the 4x4 board plan (30 cores,
-# 155k subsets) took 0.058-0.080 s in one process and 0.064-0.078 s in two, a
-# loss as often as a gain; the 4x5 plan (232 cores, 4.0M subsets) took
-# 1.80-1.93 s in one and 0.92-0.98 s in two (1.11-1.20 s with the cores dealt
-# round robin in plan order). Below about 1M subsets a second process is not
-# worth its memory.
+# over the distinct cores, which also orders the cores for dealing. Measured
+# on a shared 2-vCPU guest with the bitmap face layer and the one integer
+# reduction, both fields, the sweep alone, two series of medians: the 4x4
+# board plan (30 cores, 155k subsets) took 0.024-0.031 s in one process and
+# 0.038-0.040 s in two, a loss; the 4x5 plan (232 cores, 4.0M subsets) took
+# 0.51-0.57 s in one and 0.30 s in two. On 4x5 the subset count ranks the
+# cores' sweep times with Spearman correlation 0.986, and dealing them
+# largest first gives a two-process schedule of 0.274 s (simulated from each
+# core's time in one process), against 0.280 s with the cores ordered by
+# their measured times. A second process costs about
+# 0.03 s, so it pays from some 0.4M subsets. The threshold stays at 1M: the
+# two plans fall on the same sides of it as before, and below it a second
+# process would save a few hundredths of a second at most, for its memory.
 _POOL_MIN_SUBSETS = 1 << 20
 
 

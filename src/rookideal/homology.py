@@ -2,23 +2,47 @@
 
 Boundary matrices use the augmented chain complex, so the empty face is a row
 of the 0-th boundary map and the irrelevant complex has one unit of homology
-in dimension -1. Every rank, over every prime, comes from one sparse column
-reduction with exact Python integers, each column reduced on its largest row.
-Rows and columns are keyed by face mask. The Betti sweep walks the dimensions
-top down: the pivot rows of the d+1 map are d-faces whose columns in the d map
-reduce to zero (clearing, Chen and Kerber 2011), so they get no column. The
-largest row of the column of a d-face m is m ^ (m & -m), the face without the
-lowest vertex, with coefficient +1, so its pivot is known before the column is
-built: a face whose pivot row is still free is recorded by its mask alone (an
-apparent pair, as in Bauer's Ripser), and its column is built only if a later
-reduction needs it. Only columns whose pivot collides are built and reduced.
+in dimension -1. Rows and columns are keyed by face mask.
+
+Faces are held as bitmaps. The n vertices of a complex are relabelled to bits
+0..n-1 in order, which keeps mask order, and the faces with k vertices are one
+2^n-bit int, bit s set when mask s is a face. Level k is the facets with k
+vertices and the shadow of level k + 1: (level & H_i) >> 2^i over every vertex
+i, where H_i is the bitmap of the masks holding i, built by doubling for each
+complex. Face counts are popcounts. (Taking subsets bit-parallel is the
+subset-sum transform of Yates, as in Bjoerklund, Husfeldt, Kaski and Koivisto,
+STOC 2007.)
+
+The ranks come from one sparse column reduction, top down, each column reduced
+on its largest row. The pivot rows of the d+1 map are d-faces whose columns in
+the d map reduce to zero (clearing, Chen and Kerber 2011), so they get no
+column. The largest row of the column of a face m is m without its lowest
+vertex, with value +1. Peeling a level's columns by lowest vertex v, the rows
+(F_v >> 2^v) that no lower v claimed are apparent pairs (Bauer, Ripser, 2021):
+true pivot pairs, found for the whole level with a few big-int operations.
+Only the faces whose row was already claimed become Python ints; they are
+reduced in mask order, and a claimer's column is built only when a reduction
+first needs it.
+
+That reduction runs once, over the integers. When every new pivot value is
++-1, the column operations are unimodular and the echelon columns lead with
+units at every prime, so the ranks, and the clearing, are the same over every
+prime field: the complex has no torsion, and one pass serves 32003 and GF(2)
+alike. The ranks are kept on the complex's FaceBitmaps, so the second field
+costs nothing. A complex that meets any other pivot value is reduced again
+modulo each prime asked for, so torsion still shows. On either path a
+boundary rank larger than the face count it leaves raises ArithmeticError.
 The Betti sweeps hand in strong cores (see rookideal.betti): of each job's
 complex, or on the restriction route of its Alexander dual when that is
-smaller, so the faces enumerated here are those of the cores.
+smaller.
 """
 
 from __future__ import annotations
 
+import itertools
+import sys
+from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 
@@ -72,101 +96,292 @@ GF2 = FieldSpec(2)
 DEFAULT_FIELD = FieldSpec(32003)  # large-prime stand-in for characteristic 0
 
 
-def _reduce_column(col: dict[int, int], pivots: dict, p: int) -> None:
-    """Reduce the sparse column {row: value mod p} in place on its pivot (its
-    largest nonzero row) against ``pivots``, which maps each pivot row to its
-    column or, for a boundary column not built yet, to its face mask; such a
-    column is built the first time it is needed. A column that does not reduce
-    to zero is normalised to pivot value 1 and recorded as a new pivot."""
-    while col:
-        low = max(col)
-        other = pivots.get(low)
-        if other is None:
-            if col[low] != 1:
-                inv = pow(col[low], -1, p)
-                col = {r: v * inv % p for r, v in col.items()}
-            pivots[low] = col
-            return
-        if type(other) is int:
-            other = pivots[low] = _boundary_column(other, p)
-        f = col[low]
-        for r, v in other.items():
-            w = (col.get(r, 0) - f * v) % p
-            if w:
-                col[r] = w
-            else:
-                del col[r]
-
-
 # ---------------------------------------------------------------------------
-# face enumeration (bitmask internals shared with the Betti sweeps)
+# the face layer: one 2^n-bit int per dimension
 
 
-def _submasks(mask: int) -> list[int]:
-    # every subset, doubled one vertex at a time
-    subs = [0]
-    while mask:
-        low = mask & -mask
-        subs += [s | low for s in subs]
-        mask ^= low
-    return subs
+# the planes of the 64 masks on six vertices
+_PLANES_64 = [sum(1 << s for s in range(64) if s >> i & 1) for i in range(6)]
 
 
-def faces_by_dim_masks(facet_masks) -> dict[int, list[int]]:
-    """All faces of the complex generated by the given masks, grouped by
-    dimension (popcount - 1) and sorted; the empty face sits at dimension -1."""
-    faces: set[int] = set()
-    for f in facet_masks:
-        faces.update(_submasks(f))
-    out: dict[int, list[int]] = {}
-    for m in sorted(faces):
-        out.setdefault(m.bit_count() - 1, []).append(m)
+def _vertex_planes(n: int) -> list[int]:
+    """H_i for i < n: the 2^n-bit bitmap of the masks that hold vertex i, its
+    period-2^(i+1) block doubled up to length (from 64 bits for i < 6)."""
+    size, planes = 1 << n, []
+    for i in range(n):
+        if i < 6:
+            plane, width = _PLANES_64[i], 64
+        else:
+            half = 1 << i
+            plane, width = ((1 << half) - 1) << half, half << 1
+        while width < size:
+            plane |= plane << width
+            width <<= 1
+        planes.append(plane if width == size else plane & (1 << size) - 1)
+    return planes
+
+
+def _members(bitmap: int) -> list[int]:
+    """The positions of the set bits of ``bitmap``, ascending: its nonzero
+    64-bit words are picked out at C speed, then their bits one by one (one
+    word alone needs no array)."""
+    if bitmap >> 64 == 0:
+        out = []
+        while bitmap:
+            low = bitmap & -bitmap
+            out.append(low.bit_length() - 1)
+            bitmap ^= low
+        return out
+    words = array("Q", bitmap.to_bytes(((bitmap.bit_length() + 63) >> 6) << 3, "little"))
+    if sys.byteorder == "big":
+        words.byteswap()
+    out: list[int] = []
+    for at in itertools.compress(range(len(words)), words):
+        word, base = words[at], at << 6
+        while word:
+            low = word & -word
+            out.append(base + low.bit_length() - 1)
+            word ^= low
     return out
 
 
-def _boundary_column(m: int, p: int) -> dict[int, int]:
-    """The d-face mask m as a sparse column {(d-1)-face mask: +-1 mod p}; the
-    sign is (-1)^position, so the largest row, m without its lowest vertex,
-    has +1."""
+class _Dimension:
+    """The faces of one dimension: their count, and the original masks in
+    ascending order when iterated."""
+
+    __slots__ = ("bitmap", "count", "vertices")
+
+    def __init__(self, bitmap: int, count: int, vertices: list[int]):
+        self.bitmap, self.count, self.vertices = bitmap, count, vertices
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self):
+        for s in _members(self.bitmap):
+            m = j = 0
+            while s:
+                if s & 1:
+                    m |= self.vertices[j]
+                s >>= 1
+                j += 1
+            yield m
+
+
+class FaceBitmaps(Mapping):
+    """The faces of the complex generated by some facet masks, by dimension
+    (popcount - 1; the empty face at -1), for the complex's n vertices
+    relabelled to bits 0..n-1 in order, which keeps mask order. planes holds
+    H_i, the bitmap of the masks that hold vertex i, for every i. levels[k]
+    holds the faces with k vertices as one 2^n-bit int, bit s set when the
+    relabelled mask s is a face: the facets with k vertices, and the shadow of
+    levels[k + 1], (levels[k + 1] & H_i) >> 2^i over every vertex i. ranks
+    keeps the boundary ranks found so far, by modulus (0 for the integers)."""
+
+    __slots__ = ("vertices", "planes", "levels", "counts", "ranks")
+
+    def __init__(self, facet_masks):
+        originals = set(facet_masks)
+        support = 0
+        for f in originals:
+            support |= f
+        self.vertices = vertices = []
+        while support:
+            low = support & -support
+            vertices.append(low)
+            support ^= low
+        n = len(vertices)
+        facets = set()
+        for f in originals:
+            # the relabelled mask: vertex j of the complex -> bit j
+            m, bit = 0, 1
+            for vertex in vertices:
+                if f & vertex:
+                    m |= bit
+                bit <<= 1
+            facets.add(m)
+        # the facets' bitmap by size, set bit by bit in one buffer each
+        by_size: dict[int, bytearray] = {}
+        for f in facets:
+            k = f.bit_count()
+            if k not in by_size:
+                by_size[k] = bytearray(((1 << n) + 7) >> 3)
+            by_size[k][f >> 3] |= 1 << (f & 7)
+        self.planes = _vertex_planes(n)
+        self.levels = levels = []
+        if facets:
+            top = max(by_size)
+            levels.append(int.from_bytes(by_size[top], "little"))
+            for k in range(top - 1, 0, -1):
+                shadow = int.from_bytes(by_size[k], "little") if k in by_size else 0
+                for i, plane in enumerate(self.planes):
+                    shadow |= (levels[-1] & plane) >> (1 << i)
+                levels.append(shadow)
+            if top:
+                levels.append(1)  # the empty face
+            levels.reverse()
+        self.counts = [level.bit_count() for level in levels]
+        self.ranks: dict[int, dict[int, int] | None] = {}
+
+    def __getitem__(self, d: int) -> _Dimension:
+        if not 0 <= d + 1 < len(self.levels):
+            raise KeyError(d)
+        return _Dimension(self.levels[d + 1], self.counts[d + 1], self.vertices)
+
+    def __iter__(self):
+        return iter(range(-1, len(self.levels) - 1))
+
+    def __len__(self) -> int:
+        return len(self.levels)
+
+
+def faces_by_dim_masks(facet_masks) -> FaceBitmaps:
+    """All faces of the complex generated by the given masks, grouped by
+    dimension; each dimension has the face count as its len and iterates its
+    masks in ascending order, and the empty face sits at dimension -1."""
+    return FaceBitmaps(facet_masks)
+
+
+# ---------------------------------------------------------------------------
+# the rank kernel
+
+
+def _boundary_column(m: int) -> dict[int, int]:
+    """The face mask m as a sparse column {facet mask: +-1}; the sign is
+    (-1)^position, so the largest row, m without its lowest vertex, has +1."""
     col = {}
     rest, sign = m, 1
     while rest:
         low = rest & -rest
-        col[m ^ low] = sign % p
+        col[m ^ low] = sign
         rest ^= low
         sign = -sign
     return col
 
 
-def _boundary_ranks(by_dim: dict[int, list[int]], field: FieldSpec) -> dict[int, int]:
-    # top down; a d-face that is a pivot row of the d+1 map is cleared, and a
-    # face whose largest row is free stays an unbuilt column (its mask)
-    p = field.characteristic
-    ranks: dict[int, int] = {}
-    above: dict = {}
-    for d in range(max(by_dim), -1, -1):
-        pivots: dict = {}
-        for m in by_dim.get(d, []):
-            if m in above:
-                continue
-            low = m ^ (m & -m)
-            if low in pivots:
-                _reduce_column(_boundary_column(m, p), pivots, p)
+def _reduce_column(col: dict[int, int], pivots: dict, p: int, claimer) -> bool:
+    """Reduce the sparse column {row: value} in place on its pivot (its
+    largest nonzero row) against ``pivots``, which maps each pivot row to its
+    column, over GF(p), or over the integers when p is 0. A pivot row missing
+    from ``pivots`` is an apparent pair's: claimer(row) gives the face whose
+    column has it, built the first time it is needed, and None for a free
+    row. A column that does not reduce to zero is recorded as a new pivot,
+    normalised to pivot value 1 over GF(p); over the integers its pivot value
+    must be +-1, its own inverse, and False is returned for any other."""
+    while col:
+        low = max(col)
+        other = pivots.get(low)
+        if other is None:
+            owner = claimer(low)
+            if owner is None:
+                lead = col[low]
+                if p and lead != 1:
+                    inv = pow(lead, -1, p)
+                    col = {r: v * inv % p for r, v in col.items()}
+                elif not p and lead not in (1, -1):
+                    return False
+                pivots[low] = col
+                return True
+            other = pivots[low] = _boundary_column(owner)
+        f = col[low] * other[low]
+        for r, v in other.items():
+            w = col.get(r, 0) - f * v
+            if p:
+                w %= p
+            if w:
+                col[r] = w
             else:
-                pivots[low] = m
-        ranks[d] = len(pivots)
-        above = pivots
+                del col[r]
+    return True
+
+
+def _sweep_ranks(faces: FaceBitmaps, p: int) -> dict[int, int] | None:
+    """The rank of every boundary map, d -> rank of the map out of the
+    d-chains, over GF(p), or over the integers when p is 0; None when the
+    integer reduction meets a pivot value other than +-1.
+
+    The maps are walked top down. The columns of level k are its faces that
+    are not pivot rows of the map above (cleared, Chen and Kerber 2011). The
+    largest row of the column of a face m is m without its lowest vertex, with
+    value +1, so peeling the columns by lowest vertex v (rows F_v >> 2^v)
+    gives every row its first claimer in mask order; that pair is apparent
+    (the row is the face's largest facet, and the face the row's least
+    cofacet among the columns, as in Bauer's Ripser), so it is a pivot pair
+    whatever the other columns reduce to. Only the faces that meet a row
+    already claimed become Python ints and are reduced, in mask order; a
+    claimer's column is built only if such a reduction needs it."""
+    levels = faces.levels
+    n = len(faces.vertices)
+    planes = list(enumerate(faces.planes))
+    size = ((1 << n) + 7) >> 3
+    ranks: dict[int, int] = {}
+    above = 0  # the pivot rows of the map above, faces of this level
+    for k in range(len(levels) - 1, 1, -1):
+        columns = rest = levels[k] ^ above
+        claimed = colliding = 0
+        for v, plane in planes:
+            if not rest:
+                break
+            peeled = rest & plane
+            if peeled:
+                rest ^= peeled
+                rows = peeled >> (1 << v)
+                hit = rows & claimed
+                if hit:
+                    colliding |= hit << (1 << v)
+                claimed |= rows
+        if colliding:
+            pivot_rows = bytearray(claimed.to_bytes(size, "little"))
+            column_bits = columns.to_bytes(size, "little")
+
+            def claimer(row):
+                if not pivot_rows[row >> 3] >> (row & 7) & 1:
+                    return None
+                for v in range((row & -row).bit_length() - 1):
+                    m = row | 1 << v
+                    if column_bits[m >> 3] >> (m & 7) & 1:
+                        return m
+
+            pivots: dict = {}
+            for m in _members(colliding):
+                if not _reduce_column(_boundary_column(m), pivots, p, claimer):
+                    return None
+            for row in pivots:
+                pivot_rows[row >> 3] |= 1 << (row & 7)
+            claimed = int.from_bytes(pivot_rows, "little")
+        ranks[k - 1] = claimed.bit_count()
+        above = claimed
+    if len(levels) > 1:
+        # the column of each vertex left is the empty face with value 1
+        ranks[0] = int(levels[1] != above)
     return ranks
 
 
-def betti_of_face_masks(by_dim: dict[int, list[int]], field: FieldSpec) -> dict[int, int]:
-    """Reduced Betti numbers of a complex given as faces-by-dimension masks."""
+def _boundary_ranks(faces: FaceBitmaps, field: FieldSpec) -> dict[int, int]:
+    # One integer reduction serves every prime when each of its pivots is
+    # +-1: the column operations are unimodular and the echelon columns lead
+    # with units at every prime, so the ranks and the clearing are the same
+    # over every field, and no prime sees torsion. A complex that meets
+    # another pivot value is reduced again at each prime asked for.
+    found = faces.ranks
+    if 0 not in found:
+        found[0] = _sweep_ranks(faces, 0)
+    if found[0] is not None:
+        return found[0]
+    p = field.characteristic
+    if p not in found:
+        found[p] = _sweep_ranks(faces, p)
+    return found[p]
+
+
+def betti_of_face_masks(by_dim: FaceBitmaps, field: FieldSpec) -> dict[int, int]:
+    """Reduced Betti numbers of a complex given by faces_by_dim_masks."""
     if not by_dim:
         return {}
     ranks = _boundary_ranks(by_dim, field)
     out: dict[int, int] = {}
-    for d in range(-1, max(by_dim) + 1):
-        out[d] = len(by_dim.get(d, [])) - ranks.get(d, 0) - ranks.get(d + 1, 0)
+    for d, count in enumerate(by_dim.counts, -1):
+        out[d] = count - ranks.get(d, 0) - ranks.get(d + 1, 0)
         if out[d] < 0:
             # the maps into and out of the d-chains have at most f_d rank together
             raise ArithmeticError(

@@ -16,6 +16,7 @@ from rookideal import (
     board_symmetries,
     chessboard_complex,
     facet_ideal,
+    invariant_report,
     reduced_betti,
 )
 from rookideal.monomials import _bits, _mask_of
@@ -26,6 +27,14 @@ from oracles import boundary_matrix, rank
 V3 = VariableSet.generic(3)
 V4 = VariableSet.generic(4)
 HOLLOW_TRIANGLE = SimplicialComplex.from_facets(V3, [{0, 1}, {1, 2}, {0, 2}])
+# the 6-vertex triangulation of the real projective plane
+RP2 = SimplicialComplex.from_facets(
+    VariableSet.generic(6),
+    [
+        {0, 1, 2}, {0, 2, 3}, {0, 3, 4}, {0, 4, 5}, {0, 1, 5},
+        {1, 2, 4}, {1, 3, 4}, {1, 3, 5}, {2, 3, 5}, {2, 4, 5},
+    ],
+)
 
 
 def test_field_requires_prime():
@@ -85,6 +94,26 @@ class TestFaces:
     def test_dimension_below_minus_one(self):
         assert min(homology.faces_by_dim_masks(HOLLOW_TRIANGLE.facet_masks())) == -1
         assert homology.faces_by_dim_masks(()) == {}
+
+    @pytest.mark.parametrize(
+        "cx",
+        [
+            HOLLOW_TRIANGLE,
+            RP2,
+            chessboard_complex(Board(3, 4)),
+            # vertices 1, 4, 6 and 9 are relabelled to bits 0..3
+            SimplicialComplex.from_facets(VariableSet.generic(10), [{1, 4, 9}, {4, 6}, {6, 9}, {1, 6}]),
+        ],
+    )
+    def test_dimensions_are_sized_and_iterate_in_mask_order(self, cx):
+        # the benchmark's tracer reads len() of each dimension through
+        # items() as its face count; the tests read the masks in order
+        by_dim = homology.faces_by_dim_masks(cx.facet_masks())
+        assert list(by_dim) == list(range(-1, max(len(f) for f in cx.facets)))
+        for d, faces in by_dim.items():
+            expected = [_mask_of(f) for f in oracles.faces(cx.facets, d)]
+            assert len(faces) == len(expected)
+            assert list(faces) == expected
 
 
 class TestBoundary:
@@ -165,12 +194,7 @@ class TestReducedBetti:
         assert betti == {-1: 1}
 
     def test_torsion_shows_up_only_mod_two(self):
-        # 6-vertex triangulation of the real projective plane
-        facets = [
-            [0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 5], [0, 1, 5],
-            [1, 2, 4], [1, 3, 4], [1, 3, 5], [2, 3, 5], [2, 4, 5],
-        ]
-        cx = SimplicialComplex.from_facets(VariableSet.generic(6), facets)
+        cx = RP2
         assert reduced_betti(cx, DEFAULT_FIELD) == {-1: 0, 0: 0, 1: 0, 2: 0}
         assert reduced_betti(cx, GF2) == {-1: 0, 0: 0, 1: 1, 2: 1}
 
@@ -181,25 +205,24 @@ class TestReducedBetti:
     def test_cleared_faces_get_no_column(self, monkeypatch):
         # a d-face that is a pivot row of the d+1 map gets no column (clearing),
         # and a face whose apparent pivot row is free gets one only if a later
-        # reduction needs it, so fewer than f_d - rank(d+1 map) are built
-        facets = [
-            [0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 5], [0, 1, 5],
-            [1, 2, 4], [1, 3, 4], [1, 3, 5], [2, 3, 5], [2, 4, 5],
-        ]
-        cx = SimplicialComplex.from_facets(VariableSet.generic(6), facets)
+        # reduction needs it, so fewer than f_d - rank(d+1 map) are built; the
+        # projective plane has torsion, so it is reduced at each prime
+        cx = RP2
         for field in (DEFAULT_FIELD, GF2):
             ranks = {d: rank(boundary_matrix(cx.facets, d, field), field) for d in range(4)}
             cleared = {d: pivot_rows(cx, d + 1, field) for d in range(3)}
             built: list[int] = []
             real = homology._boundary_column
 
-            def counted(m, p):
+            def counted(m):
                 built.append(m)
-                return real(m, p)
+                return real(m)
 
             monkeypatch.setattr(homology, "_boundary_column", counted)
-            reduced_betti(cx, field)
+            faces = homology.faces_by_dim_masks(cx.facet_masks())
+            found = homology._sweep_ranks(faces, field.characteristic)
             monkeypatch.undo()
+            assert found == {d: ranks[d] for d in range(3)}
             assert len(built) == len(set(built))
             assert not set(built) & set().union(*cleared.values())
             by_dim = {d: sum(1 for m in built if m.bit_count() == d + 1) for d in range(3)}
@@ -225,6 +248,79 @@ class TestReducedBetti:
         assert calls == [DEFAULT_FIELD, GF2]
 
 
+class TestOneReductionForEveryField:
+    """One reduction over the integers serves every prime when each of its
+    pivots is +-1; a complex that meets another pivot value is reduced again
+    at each prime, so torsion still shows."""
+
+    @staticmethod
+    def moduli(monkeypatch):
+        # the modulus of every reduction made, 0 for the integers
+        calls = []
+        real = homology._sweep_ranks
+
+        def counted(faces, p):
+            calls.append(p)
+            return real(faces, p)
+
+        monkeypatch.setattr(homology, "_sweep_ranks", counted)
+        return calls
+
+    def test_torsion_takes_the_prime_by_prime_reduction(self, monkeypatch):
+        calls = self.moduli(monkeypatch)
+        core = [(RP2.facet_masks(), [(6, 1)])]
+        modp, gf2 = betti._sweep_chunk("hochster", core, [DEFAULT_FIELD, GF2])
+        assert calls == [0, 32003, 2]
+        # H~_1 and H~_2 are Z/2 and 0 over the integers: seen only mod 2
+        assert modp == {} and gf2 == {(3, 6): 1, (2, 6): 1}
+
+    def test_certified_complex_is_reduced_once(self, monkeypatch):
+        calls = self.moduli(monkeypatch)
+        faces = homology.faces_by_dim_masks(HOLLOW_TRIANGLE.facet_masks())
+        for field in (DEFAULT_FIELD, GF2, FieldSpec(3)):
+            assert homology.betti_of_face_masks(faces, field) == {-1: 0, 0: 0, 1: 1}
+        assert calls == [0]
+
+    def test_report_cores_are_reduced_once_for_both_fields(self, monkeypatch):
+        # every distinct core of the cross-checked 3x4 report is certified:
+        # one integer reduction, which the GF(2) call reads back
+        calls = self.moduli(monkeypatch)
+        reads = []
+        real = betti.betti_of_face_masks
+
+        def counted(by_dim, field):
+            reads.append(field.characteristic)
+            return real(by_dim, field)
+
+        monkeypatch.setattr(betti, "betti_of_face_masks", counted)
+        board = Board(3, 4)
+        ideal, perms = facet_ideal(board), board_symmetries(board)
+        betti.clear_table_cache()
+        report = invariant_report(ideal, symmetries=perms, cross_check=True)
+        betti.clear_table_cache()
+        assert not report.torsion_warning
+        cores = betti._sweep_plan("hochster", ideal, perms).cores
+        assert calls == [0] * len(cores)
+        assert sorted(reads) == [2] * len(cores) + [32003] * len(cores)
+
+    @pytest.mark.parametrize("cx, reduced_at", [(HOLLOW_TRIANGLE, 0), (RP2, 32003), (RP2, 2)])
+    def test_wrong_rank_raises_on_either_path(self, monkeypatch, cx, reduced_at):
+        # one pivot too many on every map, on the integer reduction or on
+        # the one at a prime, makes some Betti number negative
+        real = homology._sweep_ranks
+
+        def one_too_many(faces, p):
+            ranks = real(faces, p)
+            if p != reduced_at or ranks is None:
+                return ranks
+            return {d: r + 1 for d, r in ranks.items()}
+
+        monkeypatch.setattr(homology, "_sweep_ranks", one_too_many)
+        field = DEFAULT_FIELD if reduced_at != 2 else GF2
+        with pytest.raises(ArithmeticError):
+            reduced_betti(cx, field)
+
+
 def pivot_rows(cx, d, field):
     """The faces that are pivot rows of the reduced d-th boundary map, from
     plain ranks: the rows from i down have rank equal to the number of pivots
@@ -245,9 +341,9 @@ def test_plan_jobs_match_plain_ranks(monkeypatch):
     real = homology._reduce_column
     deferred = []
 
-    def watched(col, pivots, p):
-        deferred.append(type(pivots.get(max(col))) is int)
-        real(col, pivots, p)
+    def watched(col, pivots, p, claimer):
+        deferred.append(max(col) not in pivots and claimer(max(col)) is not None)
+        return real(col, pivots, p, claimer)
 
     monkeypatch.setattr(homology, "_reduce_column", watched)
     for route in ("hochster", "koszul"):

@@ -332,6 +332,22 @@ def test_cleared_ranks_match_plain_ranks_everywhere(cx):
         assert reduced_betti(cx, field) == oracles.plain_betti(cx.facets, field)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 255), min_size=1, max_size=10))
+@example([0b111, 0b1101, 0b11001, 0b110001, 0b100011, 0b10110, 0b11010, 0b101010, 0b101100, 0b110100])
+def test_certified_integer_ranks_are_the_ranks_at_every_prime(facets):
+    # facet masks on at most 8 vertices (the example: the real projective
+    # plane, whose torsion the integer reduction must not certify); when
+    # every pivot of the integer reduction is +-1, its ranks are the ranks
+    # that the reduction at each prime finds
+    from rookideal import homology
+
+    faces = homology.faces_by_dim_masks(facets)
+    certified = homology._sweep_ranks(faces, 0)
+    at_primes = [homology._sweep_ranks(faces, p) for p in (2, 3, 32003, 4294967311)]
+    assert certified is None or all(ranks == certified for ranks in at_primes)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.integers(0, 255), min_size=1, max_size=8))
 def test_strong_core_keeps_reduced_homology(facets):

@@ -105,6 +105,30 @@ def test_bench_pairs_claim_rule():
     assert bench.summarize(pairs_of(parent, [b + 1 for b in parent]))["solve_s"]["claim_rule_met"] is False
 
 
+def test_bench_pairs_all_runs_each_workload_on_its_own(tmp_path, monkeypatch):
+    # "all" is expanded here, so every workload keeps its own pass counts
+    # instead of perfbench's one line summed over the three
+    bench = load_script("bench_pairs.py")
+    runs = []
+
+    def fake_run(checkout, workload, seed, seconds, trace):
+        runs.append(workload)
+        return {"correct": True, "attempted": len(workload), "failed": 0, "metrics": {"solve_s": {"value": 1.0, "unit": "s"}}}
+
+    monkeypatch.setattr(bench, "extract_revision", lambda rev, dest: "0" * 40)
+    monkeypatch.setattr(bench, "copy_working_tree", lambda dest: None)
+    monkeypatch.setattr(bench, "run_once", fake_run)
+    out = tmp_path / "bench.json"
+    args = ["--base", "HEAD", "--workload", "all", "--seeds", "2", "--seconds", "1", "--out", str(out)]
+    assert bench.main(args) == 0
+    declared = [w["name"] for w in json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())["workloads"]]
+    assert "all" not in runs and sorted(set(runs)) == sorted(declared) and len(runs) == 4 * len(declared)
+    report = json.loads(out.read_text())
+    for name in declared:
+        summary = report[f"{name} --trace 0 seeds 1-2"]["summary"]
+        assert summary["attempted"] == {"parent": 2 * len(name), "change": 2 * len(name)}
+
+
 def test_bench_pairs_first_seed(tmp_path, monkeypatch):
     bench = load_script("bench_pairs.py")
     runs = []
