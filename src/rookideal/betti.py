@@ -51,7 +51,9 @@ when the dual's strong core is a point, and that core is swept in K's place
 when it has fewer subsets (sum 2^|facet|). The lattice route keeps its
 cores, so the two routes stay independent computations. One sweep serves
 every field asked for at once: it builds each distinct core's faces once,
-as one bitmap per dimension (rookideal.homology), and reduces them while
+as one bitmap per dimension, or as one set of masks per dimension when
+its 2^n masks far outnumber its subsets (rookideal.homology), and reduces
+them while
 they are in hand, so only one core's faces are held at a time. The
 reduction runs once, over the integers, and when every pivot it meets is
 +-1 its ranks hold at every prime; the GF(2) cross-run then reads the same
@@ -582,7 +584,10 @@ def _homological_index(route: str, degree: int, d: int) -> int:
 
 def _subsets(facets) -> int:
     """sum 2^|facet|, counting each face once per facet that holds it: the
-    measure of a core's cost (see _POOL_MIN_SUBSETS)."""
+    measure of a core's cost (see _POOL_MIN_SUBSETS). It bounds the cost
+    whatever the core's vertex count n, since the face layer holds a core
+    as bitmaps of 2^n bits only while 2^n is within a small factor of it
+    (rookideal.homology._BITMAP_FACTOR)."""
     return sum(1 << f.bit_count() for f in facets)
 
 
@@ -736,7 +741,7 @@ def _sweep_chunk(route: str, cores, fields) -> list[dict]:
                     if i >= 0:
                         key = (i, degree)
                         out[key] = out.get(key, 0) + v * weight
-        del by_dim  # before the next core's bitmaps are built
+        del by_dim  # before the next core's faces are built
     return outs
 
 

@@ -11,7 +11,11 @@ vertices and the shadow of level k + 1: (level & H_i) >> 2^i over every vertex
 i, where H_i is the bitmap of the masks holding i, built by doubling for each
 complex. Face counts are popcounts. (Taking subsets bit-parallel is the
 subset-sum transform of Yates, as in Bjoerklund, Husfeldt, Kaski and Koivisto,
-STOC 2007.)
+STOC 2007.) A level costs 2^n bits however few faces it has, so a complex
+whose 2^n masks outnumber its sum 2^|facet| subsets more than
+_BITMAP_FACTOR times (many vertices under small facets) is held as one set of
+masks per dimension instead, and swept the same way; both layers give the
+same faces and ranks.
 
 The ranks come from one sparse column reduction, top down, each column reduced
 on its largest row. The pivot rows of the d+1 map are d-faces whose columns in
@@ -28,7 +32,7 @@ That reduction runs once, over the integers. When every new pivot value is
 +-1, the column operations are unimodular and the echelon columns lead with
 units at every prime, so the ranks, and the clearing, are the same over every
 prime field: the complex has no torsion, and one pass serves 32003 and GF(2)
-alike. The ranks are kept on the complex's FaceBitmaps, so the second field
+alike. The ranks are kept on the complex's faces object, so the second field
 costs nothing. A complex that meets any other pivot value is reduced again
 modulo each prime asked for, so torsion still shows. On either path a
 boundary rank larger than the face count it leaves raises ArithmeticError.
@@ -97,41 +101,26 @@ DEFAULT_FIELD = FieldSpec(32003)  # large-prime stand-in for characteristic 0
 
 
 # ---------------------------------------------------------------------------
-# the face layer: one 2^n-bit int per dimension
-
-
-# the planes of the 64 masks on six vertices
-_PLANES_64 = [sum(1 << s for s in range(64) if s >> i & 1) for i in range(6)]
+# the face layer: one 2^n-bit int, or one set of masks, per dimension
 
 
 def _vertex_planes(n: int) -> list[int]:
     """H_i for i < n: the 2^n-bit bitmap of the masks that hold vertex i, its
-    period-2^(i+1) block doubled up to length (from 64 bits for i < 6)."""
+    period-2^(i+1) block doubled up to length."""
     size, planes = 1 << n, []
     for i in range(n):
-        if i < 6:
-            plane, width = _PLANES_64[i], 64
-        else:
-            half = 1 << i
-            plane, width = ((1 << half) - 1) << half, half << 1
+        half = 1 << i
+        plane, width = ((1 << half) - 1) << half, half << 1
         while width < size:
             plane |= plane << width
             width <<= 1
-        planes.append(plane if width == size else plane & (1 << size) - 1)
+        planes.append(plane)
     return planes
 
 
 def _members(bitmap: int) -> list[int]:
     """The positions of the set bits of ``bitmap``, ascending: its nonzero
-    64-bit words are picked out at C speed, then their bits one by one (one
-    word alone needs no array)."""
-    if bitmap >> 64 == 0:
-        out = []
-        while bitmap:
-            low = bitmap & -bitmap
-            out.append(low.bit_length() - 1)
-            bitmap ^= low
-        return out
+    64-bit words are picked out at C speed, then their bits one by one."""
     words = array("Q", bitmap.to_bytes(((bitmap.bit_length() + 63) >> 6) << 3, "little"))
     if sys.byteorder == "big":
         words.byteswap()
@@ -146,39 +135,46 @@ def _members(bitmap: int) -> list[int]:
 
 
 class _Dimension:
-    """The faces of one dimension: their count, and the original masks in
-    ascending order when iterated."""
+    """The faces of one dimension, as a caller sees them: their count."""
 
-    __slots__ = ("bitmap", "count", "vertices")
+    __slots__ = ("count",)
 
-    def __init__(self, bitmap: int, count: int, vertices: list[int]):
-        self.bitmap, self.count, self.vertices = bitmap, count, vertices
+    def __init__(self, count: int):
+        self.count = count
 
     def __len__(self) -> int:
         return self.count
 
+
+class _Faces(Mapping):
+    """The faces of a complex by dimension (popcount - 1; the empty face at
+    -1), each dimension sized by its face count: counts[k] is the number of
+    faces with k vertices. ranks keeps the boundary ranks found so far, by
+    modulus (0 for the integers)."""
+
+    __slots__ = ("levels", "counts", "ranks")
+
+    def __getitem__(self, d: int) -> _Dimension:
+        if not 0 <= d + 1 < len(self.counts):
+            raise KeyError(d)
+        return _Dimension(self.counts[d + 1])
+
     def __iter__(self):
-        for s in _members(self.bitmap):
-            m = j = 0
-            while s:
-                if s & 1:
-                    m |= self.vertices[j]
-                s >>= 1
-                j += 1
-            yield m
+        return iter(range(-1, len(self.counts) - 1))
+
+    def __len__(self) -> int:
+        return len(self.counts)
 
 
-class FaceBitmaps(Mapping):
-    """The faces of the complex generated by some facet masks, by dimension
-    (popcount - 1; the empty face at -1), for the complex's n vertices
-    relabelled to bits 0..n-1 in order, which keeps mask order. planes holds
-    H_i, the bitmap of the masks that hold vertex i, for every i. levels[k]
-    holds the faces with k vertices as one 2^n-bit int, bit s set when the
-    relabelled mask s is a face: the facets with k vertices, and the shadow of
-    levels[k + 1], (levels[k + 1] & H_i) >> 2^i over every vertex i. ranks
-    keeps the boundary ranks found so far, by modulus (0 for the integers)."""
+class FaceBitmaps(_Faces):
+    """The faces of the complex generated by some facet masks, for its n
+    vertices relabelled to bits 0..n-1 in order, which keeps mask order.
+    planes holds H_i, the bitmap of the masks that hold vertex i, for every i.
+    levels[k] holds the faces with k vertices as one 2^n-bit int, bit s set
+    when the relabelled mask s is a face: the facets with k vertices, and the
+    shadow of levels[k + 1], (levels[k + 1] & H_i) >> 2^i over every vertex i."""
 
-    __slots__ = ("vertices", "planes", "levels", "counts", "ranks")
+    __slots__ = ("vertices", "planes")
 
     def __init__(self, facet_masks):
         originals = set(facet_masks)
@@ -223,23 +219,159 @@ class FaceBitmaps(Mapping):
         self.counts = [level.bit_count() for level in levels]
         self.ranks: dict[int, dict[int, int] | None] = {}
 
-    def __getitem__(self, d: int) -> _Dimension:
-        if not 0 <= d + 1 < len(self.levels):
-            raise KeyError(d)
-        return _Dimension(self.levels[d + 1], self.counts[d + 1], self.vertices)
+    def sweep(self, p: int) -> dict[int, int] | None:
+        """The rank of every boundary map, d -> rank of the map out of the
+        d-chains, over GF(p), or over the integers when p is 0; None when the
+        integer reduction meets a pivot value other than +-1.
 
-    def __iter__(self):
-        return iter(range(-1, len(self.levels) - 1))
+        The maps are walked top down. The columns of level k are its faces
+        that are not pivot rows of the map above (cleared, Chen and Kerber
+        2011). The largest row of the column of a face m is m without its
+        lowest vertex, with value +1, so peeling the columns by lowest vertex
+        v (rows F_v >> 2^v) gives every row its first claimer in mask order;
+        that pair is apparent (the row is the face's largest facet, and the
+        face the row's least cofacet among the columns, as in Bauer's
+        Ripser), so it is a pivot pair whatever the other columns reduce to.
+        Only the faces that meet a row already claimed become Python ints and
+        are reduced, in mask order; a claimer's column is built only if such
+        a reduction needs it."""
+        levels = self.levels
+        planes = list(enumerate(self.planes))
+        size = ((1 << len(self.vertices)) + 7) >> 3
+        ranks: dict[int, int] = {}
+        above = 0  # the pivot rows of the map above, faces of this level
+        for k in range(len(levels) - 1, 1, -1):
+            columns = rest = levels[k] ^ above
+            claimed = colliding = 0
+            for v, plane in planes:
+                if not rest:
+                    break
+                peeled = rest & plane
+                if peeled:
+                    rest ^= peeled
+                    rows = peeled >> (1 << v)
+                    hit = rows & claimed
+                    if hit:
+                        colliding |= hit << (1 << v)
+                    claimed |= rows
+            if colliding:
+                pivot_rows = bytearray(claimed.to_bytes(size, "little"))
+                column_bits = columns.to_bytes(size, "little")
 
-    def __len__(self) -> int:
-        return len(self.levels)
+                def claimer(row):
+                    if not pivot_rows[row >> 3] >> (row & 7) & 1:
+                        return None
+                    for v in range((row & -row).bit_length() - 1):
+                        m = row | 1 << v
+                        if column_bits[m >> 3] >> (m & 7) & 1:
+                            return m
+
+                pivots: dict = {}
+                for m in _members(colliding):
+                    if not _reduce_column(_boundary_column(m), pivots, p, claimer):
+                        return None
+                for row in pivots:
+                    pivot_rows[row >> 3] |= 1 << (row & 7)
+                claimed = int.from_bytes(pivot_rows, "little")
+            ranks[k - 1] = claimed.bit_count()
+            above = claimed
+        if len(levels) > 1:
+            # every vertex maps onto the empty face, and the edge map's rank
+            # is below the vertex count, so some vertex is left uncleared
+            ranks[0] = 1
+        return ranks
 
 
-def faces_by_dim_masks(facet_masks) -> FaceBitmaps:
+class FaceSets(_Faces):
+    """The faces of the complex generated by some facet masks, levels[k] the
+    set of its faces with k vertices: the facets with k vertices and every
+    face of levels[k + 1] less one vertex. For complexes whose 2^n masks far
+    outnumber their subsets (see faces_by_dim_masks)."""
+
+    __slots__ = ()
+
+    def __init__(self, facet_masks):
+        by_size: dict[int, set[int]] = {}
+        for f in facet_masks:
+            by_size.setdefault(f.bit_count(), set()).add(f)
+        self.levels = levels = []
+        if by_size:
+            top = max(by_size)
+            levels.append(by_size[top])
+            for k in range(top - 1, 0, -1):
+                shadow = by_size.get(k, set())
+                for f in levels[-1]:
+                    rest = f
+                    while rest:
+                        low = rest & -rest
+                        shadow.add(f ^ low)
+                        rest ^= low
+                levels.append(shadow)
+            if top:
+                levels.append({0})  # the empty face
+            levels.reverse()
+        self.counts = [len(level) for level in levels]
+        self.ranks: dict[int, dict[int, int] | None] = {}
+
+    def sweep(self, p: int) -> dict[int, int] | None:
+        """FaceBitmaps.sweep on sets of masks: a level's columns in mask order
+        each claim their largest row, m without its lowest vertex, unless an
+        earlier column has; only the columns that find their row claimed are
+        reduced."""
+        levels = self.levels
+        ranks: dict[int, int] = {}
+        above: set[int] = set()
+        for k in range(len(levels) - 1, 1, -1):
+            claimers: dict[int, int] = {}  # each apparent pivot row -> its face
+            colliding = []
+            for m in sorted(levels[k] - above):
+                row = m & (m - 1)
+                if row in claimers:
+                    colliding.append(m)
+                else:
+                    claimers[row] = m
+            pivots: dict = {}
+            for m in colliding:
+                if not _reduce_column(_boundary_column(m), pivots, p, claimers.get):
+                    return None
+            above = claimers.keys() | pivots.keys()
+            ranks[k - 1] = len(above)
+        if len(levels) > 1:
+            # every vertex maps onto the empty face, and the edge map's rank
+            # is below the vertex count, so some vertex is left uncleared
+            ranks[0] = 1
+        return ranks
+
+
+# A bitmap level costs 2^n bits however few of the masks are faces, and each
+# shadow and each peel takes one big-int operation per vertex; a set costs a
+# Python int per face. Face building plus the integer reduction, best of
+# three on a shared 2-vCPU guest: the 4x6 board plan's core of largest ratio
+# 2^n / sum 2^|facet| (24 vertices, 1.97M subsets, ratio 8.5) took 1.46 s as
+# bitmaps and 2.90 s as sets, at a peak of 144 and 134 MB; on random
+# complexes of 14-22 vertices, sets took 0.9-1.4 times the bitmaps' time at
+# ratio 8 and 0.2-0.8 times at ratio 64; the 272 cores of a seed-1
+# squarefree-boards pass took 40.6 ms all as bitmaps, 38.2 ms with sets from
+# ratio 16 and 36.9 ms from ratio 8. Ratio 16 keeps every core of the 4x5,
+# 4x6 and 5x5 board plans on bitmaps, and holds a bitmap complex's levels and
+# planes, 2n ints of 2^n bits, to 4n bytes a subset.
+_BITMAP_FACTOR = 16
+
+
+def faces_by_dim_masks(facet_masks) -> FaceBitmaps | FaceSets:
     """All faces of the complex generated by the given masks, grouped by
-    dimension; each dimension has the face count as its len and iterates its
-    masks in ascending order, and the empty face sits at dimension -1."""
-    return FaceBitmaps(facet_masks)
+    dimension (the empty face at -1), each dimension sized by its face count:
+    as bitmaps when the 2^n masks on its n vertices are at most
+    _BITMAP_FACTOR times its sum 2^|facet| subsets, else as sets of masks
+    (40 isolated points would need 2^40-bit levels)."""
+    facets = set(facet_masks)
+    support = 0
+    for f in facets:
+        support |= f
+    subsets = sum(1 << f.bit_count() for f in facets)
+    if 1 << support.bit_count() <= _BITMAP_FACTOR * subsets:
+        return FaceBitmaps(facets)
+    return FaceSets(facets)
 
 
 # ---------------------------------------------------------------------------
@@ -295,69 +427,7 @@ def _reduce_column(col: dict[int, int], pivots: dict, p: int, claimer) -> bool:
     return True
 
 
-def _sweep_ranks(faces: FaceBitmaps, p: int) -> dict[int, int] | None:
-    """The rank of every boundary map, d -> rank of the map out of the
-    d-chains, over GF(p), or over the integers when p is 0; None when the
-    integer reduction meets a pivot value other than +-1.
-
-    The maps are walked top down. The columns of level k are its faces that
-    are not pivot rows of the map above (cleared, Chen and Kerber 2011). The
-    largest row of the column of a face m is m without its lowest vertex, with
-    value +1, so peeling the columns by lowest vertex v (rows F_v >> 2^v)
-    gives every row its first claimer in mask order; that pair is apparent
-    (the row is the face's largest facet, and the face the row's least
-    cofacet among the columns, as in Bauer's Ripser), so it is a pivot pair
-    whatever the other columns reduce to. Only the faces that meet a row
-    already claimed become Python ints and are reduced, in mask order; a
-    claimer's column is built only if such a reduction needs it."""
-    levels = faces.levels
-    n = len(faces.vertices)
-    planes = list(enumerate(faces.planes))
-    size = ((1 << n) + 7) >> 3
-    ranks: dict[int, int] = {}
-    above = 0  # the pivot rows of the map above, faces of this level
-    for k in range(len(levels) - 1, 1, -1):
-        columns = rest = levels[k] ^ above
-        claimed = colliding = 0
-        for v, plane in planes:
-            if not rest:
-                break
-            peeled = rest & plane
-            if peeled:
-                rest ^= peeled
-                rows = peeled >> (1 << v)
-                hit = rows & claimed
-                if hit:
-                    colliding |= hit << (1 << v)
-                claimed |= rows
-        if colliding:
-            pivot_rows = bytearray(claimed.to_bytes(size, "little"))
-            column_bits = columns.to_bytes(size, "little")
-
-            def claimer(row):
-                if not pivot_rows[row >> 3] >> (row & 7) & 1:
-                    return None
-                for v in range((row & -row).bit_length() - 1):
-                    m = row | 1 << v
-                    if column_bits[m >> 3] >> (m & 7) & 1:
-                        return m
-
-            pivots: dict = {}
-            for m in _members(colliding):
-                if not _reduce_column(_boundary_column(m), pivots, p, claimer):
-                    return None
-            for row in pivots:
-                pivot_rows[row >> 3] |= 1 << (row & 7)
-            claimed = int.from_bytes(pivot_rows, "little")
-        ranks[k - 1] = claimed.bit_count()
-        above = claimed
-    if len(levels) > 1:
-        # the column of each vertex left is the empty face with value 1
-        ranks[0] = int(levels[1] != above)
-    return ranks
-
-
-def _boundary_ranks(faces: FaceBitmaps, field: FieldSpec) -> dict[int, int]:
+def _boundary_ranks(faces: _Faces, field: FieldSpec) -> dict[int, int]:
     # One integer reduction serves every prime when each of its pivots is
     # +-1: the column operations are unimodular and the echelon columns lead
     # with units at every prime, so the ranks and the clearing are the same
@@ -365,16 +435,16 @@ def _boundary_ranks(faces: FaceBitmaps, field: FieldSpec) -> dict[int, int]:
     # another pivot value is reduced again at each prime asked for.
     found = faces.ranks
     if 0 not in found:
-        found[0] = _sweep_ranks(faces, 0)
+        found[0] = faces.sweep(0)
     if found[0] is not None:
         return found[0]
     p = field.characteristic
     if p not in found:
-        found[p] = _sweep_ranks(faces, p)
+        found[p] = faces.sweep(p)
     return found[p]
 
 
-def betti_of_face_masks(by_dim: FaceBitmaps, field: FieldSpec) -> dict[int, int]:
+def betti_of_face_masks(by_dim: _Faces, field: FieldSpec) -> dict[int, int]:
     """Reduced Betti numbers of a complex given by faces_by_dim_masks."""
     if not by_dim:
         return {}

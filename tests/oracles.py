@@ -28,6 +28,22 @@ def faces(facets, d):
     return sorted(found, key=_mask)
 
 
+def face_masks(by_dim, d):
+    """The d-face masks held by a rookideal.homology face layer, ascending:
+    a FaceSets level is a set of masks, and bit s of a FaceBitmaps level is
+    the mask with vertex j of the complex wherever s has bit j."""
+    if d not in by_dim:
+        return []
+    level = by_dim.levels[d + 1]
+    if isinstance(level, set):
+        return sorted(level)
+    return [
+        sum(v for j, v in enumerate(by_dim.vertices) if s >> j & 1)
+        for s in range(level.bit_length())
+        if level >> s & 1
+    ]
+
+
 def boundary_matrix(facets, d, field):
     """The d-th boundary map of the augmented chain complex as dense rows mod
     p: rows the (d-1)-faces, columns the d-faces, both in the order of

@@ -239,6 +239,16 @@ class TestBettiCommand:
             payload = json.loads(out.strip().splitlines()[-1])
             assert code == 0 and payload["reg"] == expected
 
+    def test_forty_variables_with_small_cores(self, capsys, tmp_path):
+        # the 39-subsets of 40 variables: its swept cores are 40 isolated points
+        rows = [" ".join("0" if v == skip else "1" for v in range(40)) for skip in range(40)]
+        path = tmp_path / "ideal.txt"
+        path.write_text("vars 40\n" + "\n".join(rows) + "\n")
+        code, out, _ = run_cli(capsys, "betti", str(path))
+        betti.clear_table_cache()
+        assert code == 0
+        assert json.loads(out.strip().splitlines()[-1])["entries"] == [[0, 39, 40], [1, 40, 39]]
+
     def test_parse_error_reports_line(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("vars 2\n1 zz\n")

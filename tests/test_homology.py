@@ -1,3 +1,5 @@
+import functools
+import operator
 import subprocess
 import sys
 import time
@@ -76,7 +78,7 @@ class TestFaces:
     @staticmethod
     def faces(cx, d):
         by_dim = homology.faces_by_dim_masks(cx.facet_masks())
-        return [tuple(_bits(m)) for m in by_dim.get(d, [])]
+        return [tuple(_bits(m)) for m in oracles.face_masks(by_dim, d)]
 
     def test_hollow_triangle_edges(self):
         assert self.faces(HOLLOW_TRIANGLE, 1) == [(0, 1), (0, 2), (1, 2)]
@@ -95,25 +97,48 @@ class TestFaces:
         assert min(homology.faces_by_dim_masks(HOLLOW_TRIANGLE.facet_masks())) == -1
         assert homology.faces_by_dim_masks(()) == {}
 
+    @pytest.mark.parametrize("layer", [homology.FaceBitmaps, homology.FaceSets])
     @pytest.mark.parametrize(
         "cx",
         [
             HOLLOW_TRIANGLE,
             RP2,
             chessboard_complex(Board(3, 4)),
-            # vertices 1, 4, 6 and 9 are relabelled to bits 0..3
+            # a FaceBitmaps relabels vertices 1, 4, 6 and 9 to bits 0..3
             SimplicialComplex.from_facets(VariableSet.generic(10), [{1, 4, 9}, {4, 6}, {6, 9}, {1, 6}]),
         ],
     )
-    def test_dimensions_are_sized_and_iterate_in_mask_order(self, cx):
+    def test_dimensions_are_sized_by_their_face_counts(self, cx, layer):
         # the benchmark's tracer reads len() of each dimension through
-        # items() as its face count; the tests read the masks in order
-        by_dim = homology.faces_by_dim_masks(cx.facet_masks())
+        # items() as its face count
+        by_dim = layer(cx.facet_masks())
         assert list(by_dim) == list(range(-1, max(len(f) for f in cx.facets)))
         for d, faces in by_dim.items():
             expected = [_mask_of(f) for f in oracles.faces(cx.facets, d)]
             assert len(faces) == len(expected)
-            assert list(faces) == expected
+            assert oracles.face_masks(by_dim, d) == expected
+
+    @pytest.mark.parametrize(
+        "facets, layer",
+        [
+            ([1 << v for v in range(40)], homology.FaceSets),
+            ([1 << v | 1 << (v + 1) % 40 for v in range(40)], homology.FaceSets),
+            ([0b111 << v for v in range(14)], homology.FaceSets),
+            ([0b111 << v for v in range(4)], homology.FaceBitmaps),
+            (RP2.facet_masks(), homology.FaceBitmaps),
+            (chessboard_complex(Board(3, 3)).facet_masks(), homology.FaceBitmaps),
+            (chessboard_complex(Board(3, 4)).facet_masks(), homology.FaceSets),
+        ],
+    )
+    def test_bitmaps_only_where_the_masks_do_not_far_outnumber_the_subsets(self, facets, layer):
+        # 2^n masks on n vertices against sum 2^|facet|: 40 isolated points
+        # or a 40-cycle would need 2^40-bit levels, sixteen vertices under
+        # fourteen triangles 2^16 bits for 112 subsets, and the 3x4
+        # chessboard complex 2^12 bits for 192
+        n = functools.reduce(operator.or_, facets).bit_count()
+        subsets = sum(1 << f.bit_count() for f in facets)
+        assert ((1 << n) <= homology._BITMAP_FACTOR * subsets) == (layer is homology.FaceBitmaps)
+        assert type(homology.faces_by_dim_masks(facets)) is layer
 
 
 class TestBoundary:
@@ -218,18 +243,19 @@ class TestReducedBetti:
                 built.append(m)
                 return real(m)
 
-            monkeypatch.setattr(homology, "_boundary_column", counted)
-            faces = homology.faces_by_dim_masks(cx.facet_masks())
-            found = homology._sweep_ranks(faces, field.characteristic)
-            monkeypatch.undo()
-            assert found == {d: ranks[d] for d in range(3)}
-            assert len(built) == len(set(built))
-            assert not set(built) & set().union(*cleared.values())
-            by_dim = {d: sum(1 for m in built if m.bit_count() == d + 1) for d in range(3)}
-            room = {d: len(oracles.faces(cx.facets, d)) - ranks[d + 1] for d in range(3)}
-            assert all(by_dim[d] <= room[d] for d in range(3))
-            assert sum(by_dim.values()) < sum(room.values())
-            assert by_dim[0] == 0
+            for layer in (homology.FaceBitmaps, homology.FaceSets):
+                built.clear()
+                monkeypatch.setattr(homology, "_boundary_column", counted)
+                found = layer(cx.facet_masks()).sweep(field.characteristic)
+                monkeypatch.undo()
+                assert found == {d: ranks[d] for d in range(3)}
+                assert len(built) == len(set(built))
+                assert not set(built) & set().union(*cleared.values())
+                by_dim = {d: sum(1 for m in built if m.bit_count() == d + 1) for d in range(3)}
+                room = {d: len(oracles.faces(cx.facets, d)) - ranks[d + 1] for d in range(3)}
+                assert all(by_dim[d] <= room[d] for d in range(3))
+                assert sum(by_dim.values()) < sum(room.values())
+                assert by_dim[0] == 0
             assert ranks[3] == 0 and ranks[2] > 0
 
     def test_rank_beyond_face_count_raises(self, monkeypatch):
@@ -257,13 +283,13 @@ class TestOneReductionForEveryField:
     def moduli(monkeypatch):
         # the modulus of every reduction made, 0 for the integers
         calls = []
-        real = homology._sweep_ranks
+        for layer in (homology.FaceBitmaps, homology.FaceSets):
 
-        def counted(faces, p):
-            calls.append(p)
-            return real(faces, p)
+            def counted(faces, p, real=layer.sweep):
+                calls.append(p)
+                return real(faces, p)
 
-        monkeypatch.setattr(homology, "_sweep_ranks", counted)
+            monkeypatch.setattr(layer, "sweep", counted)
         return calls
 
     def test_torsion_takes_the_prime_by_prime_reduction(self, monkeypatch):
@@ -274,12 +300,23 @@ class TestOneReductionForEveryField:
         # H~_1 and H~_2 are Z/2 and 0 over the integers: seen only mod 2
         assert modp == {} and gf2 == {(3, 6): 1, (2, 6): 1}
 
-    def test_certified_complex_is_reduced_once(self, monkeypatch):
+    @pytest.mark.parametrize("layer", [homology.FaceBitmaps, homology.FaceSets])
+    def test_certified_complex_is_reduced_once(self, monkeypatch, layer):
         calls = self.moduli(monkeypatch)
-        faces = homology.faces_by_dim_masks(HOLLOW_TRIANGLE.facet_masks())
+        faces = layer(HOLLOW_TRIANGLE.facet_masks())
         for field in (DEFAULT_FIELD, GF2, FieldSpec(3)):
             assert homology.betti_of_face_masks(faces, field) == {-1: 0, 0: 0, 1: 1}
         assert calls == [0]
+
+    def test_many_vertices_small_facets(self, monkeypatch):
+        # 40 isolated points and a 40-cycle: sets of masks, one reduction
+        calls = self.moduli(monkeypatch)
+        points = SimplicialComplex.from_facets(VariableSet.generic(40), [{v} for v in range(40)])
+        cycle = SimplicialComplex.from_facets(VariableSet.generic(40), [{v, (v + 1) % 40} for v in range(40)])
+        for field in (DEFAULT_FIELD, GF2):
+            assert reduced_betti(points, field) == {-1: 0, 0: 39}
+            assert reduced_betti(cycle, field) == {-1: 0, 0: 0, 1: 1}
+        assert calls == [0] * 4
 
     def test_report_cores_are_reduced_once_for_both_fields(self, monkeypatch):
         # every distinct core of the cross-checked 3x4 report is certified:
@@ -303,11 +340,12 @@ class TestOneReductionForEveryField:
         assert calls == [0] * len(cores)
         assert sorted(reads) == [2] * len(cores) + [32003] * len(cores)
 
+    @pytest.mark.parametrize("layer", [homology.FaceBitmaps, homology.FaceSets])
     @pytest.mark.parametrize("cx, reduced_at", [(HOLLOW_TRIANGLE, 0), (RP2, 32003), (RP2, 2)])
-    def test_wrong_rank_raises_on_either_path(self, monkeypatch, cx, reduced_at):
+    def test_wrong_rank_raises_on_either_path(self, monkeypatch, cx, reduced_at, layer):
         # one pivot too many on every map, on the integer reduction or on
         # the one at a prime, makes some Betti number negative
-        real = homology._sweep_ranks
+        real = layer.sweep
 
         def one_too_many(faces, p):
             ranks = real(faces, p)
@@ -315,10 +353,10 @@ class TestOneReductionForEveryField:
                 return ranks
             return {d: r + 1 for d, r in ranks.items()}
 
-        monkeypatch.setattr(homology, "_sweep_ranks", one_too_many)
+        monkeypatch.setattr(layer, "sweep", one_too_many)
         field = DEFAULT_FIELD if reduced_at != 2 else GF2
         with pytest.raises(ArithmeticError):
-            reduced_betti(cx, field)
+            homology.betti_of_face_masks(layer(cx.facet_masks()), field)
 
 
 def pivot_rows(cx, d, field):

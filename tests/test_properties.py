@@ -343,9 +343,26 @@ def test_certified_integer_ranks_are_the_ranks_at_every_prime(facets):
     from rookideal import homology
 
     faces = homology.faces_by_dim_masks(facets)
-    certified = homology._sweep_ranks(faces, 0)
-    at_primes = [homology._sweep_ranks(faces, p) for p in (2, 3, 32003, 4294967311)]
+    certified = faces.sweep(0)
+    at_primes = [faces.sweep(p) for p in (2, 3, 32003, 4294967311)]
     assert certified is None or all(ranks == certified for ranks in at_primes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 1023), min_size=1, max_size=10))
+@example([0b111, 0b1101, 0b11001, 0b110001, 0b100011, 0b10110, 0b11010, 0b101010, 0b101100, 0b110100])
+def test_face_layers_agree(facets):
+    # facet masks on at most 10 vertices (the example: the real projective
+    # plane, so the reductions at 2 and 32003 differ); bitmaps and sets of
+    # masks hold the same faces and find the same ranks at every modulus
+    from rookideal import homology
+
+    bitmaps, sets = homology.FaceBitmaps(facets), homology.FaceSets(facets)
+    assert dict(bitmaps.items()).keys() == dict(sets.items()).keys()
+    for d in bitmaps:
+        assert oracles.face_masks(bitmaps, d) == oracles.face_masks(sets, d)
+    for p in (0, 2, 32003):
+        assert bitmaps.sweep(p) == sets.sweep(p)
 
 
 @settings(max_examples=100, deadline=None)
