@@ -32,7 +32,24 @@ mapped through every member, by a few big-int operations and one unpack.
 The symmetry check tests only the permutations that Dimino's method takes as
 generators. On the lattice route a point's degree is read off its bit
 planes (bit j of every field), and a facet's variable mask off the guard
-bits of b - g. Each complex
+bits of b - g. Before any facet is built, a job is read off the r generators
+it holds (those inside sigma, or those dividing b) when they show that its
+complex is a d-sphere, and adds its entry in closed form:
+
+* restriction, pairwise disjoint supports: the join of the boundaries of
+  the simplices on them, d = |sigma| - r - 1 (Bjoerner 1995);
+* restriction, r = 2, one support with a single vertex v outside the other,
+  h: every facet through v holds the vertices of h outside the first, so v
+  is dominated and the strong core is the boundary of h, d = |sigma| - 3
+  (strong cores are unique up to isomorphism, Barmak and Minian 2012);
+* lattice, r <= 2: for r = 1, b is a generator and the complex is {empty
+  face}, d = -1; for r = 2, b - g or b - h is 0 at every variable, so the
+  two facets are disjoint and nonempty, two points after collapse, d = 0.
+
+In each case the Taylor complex (Taylor 1966) has one face in that degree,
+all r generators, so the one Betti number there sits in homological degree
+r - 1, where Hochster's formula and the upper Koszul complex (Miller and
+Sturmfels 2005, Chs. 1 and 5) put the sphere. Every other complex
 is cut to its strong core: dominated vertices (another vertex lies in every
 facet through them) are deleted one at a time, which keeps the homotopy type
 and so the reduced homology over every field, and a job whose core is a point
@@ -81,7 +98,6 @@ import os
 import sys
 import time
 from array import array
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple
 
@@ -582,6 +598,49 @@ def _homological_index(route: str, degree: int, d: int) -> int:
     return degree - d - 2 if route == "hochster" else d + 1
 
 
+def _add_sphere(spheres: dict, route: str, degree: int, d: int, weight: int) -> None:
+    """Count a job whose complex is a d-sphere, one copy of the field in
+    dimension d over every field, ``weight`` times in the table entries
+    ``spheres``."""
+    i = _homological_index(route, degree, d)
+    if i >= 0:
+        spheres[(i, degree)] = spheres.get((i, degree), 0) + weight
+
+
+def _restriction_sphere(sigma: int, inside: list[int]) -> int | None:
+    """d when the restriction of the monomial-free complex to the lattice
+    point sigma is a d-sphere that ``inside``, the r generator supports
+    inside sigma (their union is sigma), show without its facets; else None.
+    The restriction's minimal non-faces are those supports.
+
+    Pairwise disjoint supports (sizes summing to |sigma|): the restriction is
+    the join of the boundaries of the simplices on them, a sphere with
+    d = |sigma| - r - 1. Two supports, one with a single vertex v outside the
+    other, h: every facet through v misses some vertex the two share and holds
+    every vertex of h the other lacks, so v is dominated, and deleting it
+    leaves the boundary of the simplex on h, d = |sigma| - 3 (strong cores
+    are unique up to isomorphism, Barmak and Minian 2012)."""
+    n = sigma.bit_count()
+    if sum(map(int.bit_count, inside)) == n:
+        return n - len(inside) - 1
+    if len(inside) == 2:
+        f, h = inside
+        if (f & ~h).bit_count() == 1 or (h & ~f).bit_count() == 1:
+            return n - 3
+    return None
+
+
+def _lattice_sphere(r: int) -> int | None:
+    """d when the upper Koszul complex at a lattice point b that r generators
+    divide is a d-sphere whatever they are; else None. With r = 1, b is a
+    generator and the complex is {empty face}, d = -1. With r = 2, b is the
+    lcm of two generators g and h, so at every variable b - g or b - h is 0:
+    the two facets are disjoint, and neither is empty, since neither
+    generator divides the other. Two disjoint simplices collapse to two
+    points, d = 0."""
+    return r - 2 if r <= 2 else None
+
+
 def _subsets(facets) -> int:
     """sum 2^|facet|, counting each face once per facet that holds it: the
     measure of a core's cost (see _POOL_MIN_SUBSETS). It bounds the cost
@@ -603,8 +662,9 @@ def _dual_core(core, supports) -> tuple[int, ...] | None:
 
 class _SweepPlan(NamedTuple):
     """The field-independent part of a table. ``spheres`` holds the table
-    entries, {(i, degree): multiplicity}, of the jobs whose strong core is a
-    join of simplex boundaries, the same over every field; ``cores`` lists
+    entries, {(i, degree): multiplicity}, of the jobs read off their
+    generators and of those whose strong core is a join of simplex
+    boundaries, the same over every field; ``cores`` lists
     every other complex to sweep once, as (facet masks, [(degree, orbit
     size), ...] of the jobs it stands for). A placement (degree, orbit size,
     n) stands for a core on n vertices whose Alexander dual is swept."""
@@ -613,13 +673,15 @@ class _SweepPlan(NamedTuple):
     cores: list[tuple[tuple[int, ...], list[tuple[int, ...]]]]
 
 
-def _gather(route: str, jobs, supports=None) -> _SweepPlan:
-    """The plan of a route's (facet masks, degree, orbit size) jobs: each
-    complex is cut to its strong core, a point adds nothing, and the other
-    jobs are grouped by core, in the order each core first appears. Each
-    distinct core is then tested once: a sphere adds its closed form at every
-    placement, and every other core is kept, in that order, with all its
-    placements. With the generator ``supports`` (the restriction route),
+def _gather(route: str, jobs, spheres: dict, supports=None) -> _SweepPlan:
+    """The plan of a route's (facet masks, degree, orbit size) jobs, whose
+    sphere entries start from ``spheres`` (the jobs the plan read off the
+    generators): each complex is cut to its strong core, a point adds
+    nothing, and the other jobs are grouped by core, in the order each core
+    first appears. Each distinct core is then tested once: a sphere adds its
+    closed form at every placement, and every other core is kept, in that
+    order, with all its placements. With the generator ``supports`` (the
+    restriction route),
     each kept core K on n vertices is weighed, once, against the strong core
     of its Alexander dual: H~_e of the dual is H~_{n-e-3} of K over every
     field (Bjoerner and Tancer 2009), so K is dropped when that core is a
@@ -629,7 +691,6 @@ def _gather(route: str, jobs, supports=None) -> _SweepPlan:
         core = _strong_core(facets)
         if core is not None:
             placed.setdefault(core, []).append((degree, weight))
-    spheres: dict[tuple[int, int], int] = {}
     cores = []
     for core, placements in placed.items():
         d = _sphere_dimension(core)
@@ -637,9 +698,7 @@ def _gather(route: str, jobs, supports=None) -> _SweepPlan:
             cores.append((core, placements))
             continue
         for degree, weight in placements:
-            i = _homological_index(route, degree, d)
-            if i >= 0:
-                spheres[(i, degree)] = spheres.get((i, degree), 0) + weight
+            _add_sphere(spheres, route, degree, d, weight)
     if supports is None:
         return _SweepPlan(spheres, cores)
     swept: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
@@ -664,16 +723,21 @@ def _hochster_plan(ideal: MonomialIdeal, symmetries, primes=None) -> _SweepPlan:
     delta_facets = {full & ~_mask_of(p) for p in primes}
     gens = [g.support_mask() for g in ideal.gens]
     images = _symmetry_images(gens, symmetries, 1, list(range(count)))
-    return _gather(
-        "hochster",
-        (
-            ({f & sigma for f in delta_facets}, sigma.bit_count(), weight)
-            for sigma, weight in _orbit_jobs(
-                gens, _unions if images is None else _lane_unions, images, _level_plane(1, count)
-            )
-        ),
-        gens,
-    )
+    spheres: dict[tuple[int, int], int] = {}
+
+    def jobs():
+        # lazy, so that _gather holds one job's facets at a time; the jobs
+        # read off the generators go into spheres as it runs
+        join = _unions if images is None else _lane_unions
+        for sigma, weight in _orbit_jobs(gens, join, images, _level_plane(1, count)):
+            degree = sigma.bit_count()
+            d = _restriction_sphere(sigma, [g for g in gens if g & sigma == g])
+            if d is None:
+                yield {f & sigma for f in delta_facets}, degree, weight
+            else:
+                _add_sphere(spheres, "hochster", degree, d, weight)
+
+    return _gather("hochster", jobs(), spheres, gens)
 
 
 def _koszul_plan(ideal: MonomialIdeal, symmetries) -> _SweepPlan:
@@ -692,12 +756,18 @@ def _koszul_plan(ideal: MonomialIdeal, symmetries) -> _SweepPlan:
     variable_bit = {1 << (at + width - 1): 1 << i for i, at in enumerate(offsets)}
     masks: dict[int, int] = {}
     jobs = []
+    spheres: dict[tuple[int, int], int] = {}
     join = _swar_joins(width, count) if images is None else _lane_swar_joins(width, count)
     for b, weight in _orbit_jobs(gens, join, images, _level_plane(width, count)):
         bg = b | guards
+        divisors = [g for g in gens if (bg - g) & guards == guards]
+        degree = sum((b & plane).bit_count() << j for j, plane in enumerate(planes))
+        d = _lattice_sphere(len(divisors))
+        if d is not None:
+            _add_sphere(spheres, "koszul", degree, d, weight)
+            continue
         facets = []
         # the upper Koszul complex at b has a facet {i : b_i > g_i} for each g | b
-        divisors = [g for g in gens if (bg - g) & guards == guards]
         for nonzero in {(((b - g) | guards) - ones) & guards for g in divisors}:
             mask = masks.get(nonzero)
             if mask is None:
@@ -708,9 +778,8 @@ def _koszul_plan(ideal: MonomialIdeal, symmetries) -> _SweepPlan:
                     mask |= variable_bit[guard]
                 masks[nonzero] = mask
             facets.append(mask)
-        degree = sum((b & plane).bit_count() << j for j, plane in enumerate(planes))
         jobs.append((facets, degree, weight))
-    return _gather("koszul", jobs)
+    return _gather("koszul", jobs, spheres)
 
 
 def _sweep_plan(route: str, ideal: MonomialIdeal, symmetries, primes=None) -> _SweepPlan:
@@ -793,6 +862,10 @@ def _map_chunks(worker, static, cores, fields) -> list[dict]:
         nchunks = workers * 4
         chunks = [cores[k::nchunks] for k in range(nchunks)]
         chunks = [c for c in chunks if c]
+        # imported here: concurrent.futures and multiprocessing add about
+        # 1.5 MB to a process that never starts a pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(
                 pool.map(worker, itertools.repeat(static), chunks, itertools.repeat(fields))

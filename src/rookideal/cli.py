@@ -31,7 +31,8 @@ from .verify import SUITES, run_suite
 LONG_GUARD_LIMIT = 1 << 20
 # generators x primes^2 counts the subset tests of Berge's cover search to
 # within a factor of two on every board up to 5x6; this limit lets 5x6
-# (7.8e7) run and stops 6x6 (4.5e8, over a minute)
+# (7.8e7, 1.6-1.8 s) run and stops 6x6 (4.5e8, 37 s), timed end to end as
+# `rookideal primes --method brute` on a shared 2-vCPU host
 COVER_GUARD_LIMIT = 1 << 27
 
 

@@ -67,9 +67,17 @@ def _minimal_transversals(facet_masks: tuple[int, ...]) -> list[int]:
         grown = []
         for t in transversals:
             if not t & f:
-                for v in _bits(f):
-                    u = t | (1 << v)
-                    if not any(h & u == h for h in hit):
+                # plain loops: with any() over a generator expression and
+                # _bits, the benchmark's 120 random searches took 2.5x as long
+                rest = f
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    u = t | bit
+                    for h in hit:
+                        if h & u == h:
+                            break
+                    else:
                         grown.append(u)
         transversals = hit + grown
     return transversals
@@ -79,8 +87,16 @@ def minimal_vertex_covers(cx: SimplicialComplex) -> tuple[tuple[int, ...], ...]:
     """All minimal vertex covers, canonically sorted."""
     if cx.is_void:
         raise ValueError("the void complex has no facets to cover")
-    covers = _minimal_transversals(cx.facet_masks())
-    return tuple(sorted(tuple(_bits(m)) for m in covers))
+    covers = []
+    for m in _minimal_transversals(cx.facet_masks()):
+        indices = []
+        while m:
+            low = m & -m
+            indices.append(low.bit_length() - 1)
+            m ^= low
+        covers.append(tuple(indices))
+    covers.sort()
+    return tuple(covers)
 
 
 def induced_matching_bound(

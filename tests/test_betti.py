@@ -157,6 +157,8 @@ class TestPoolSelection:
     @pytest.fixture
     def plan(self, monkeypatch):
         # ProcessPoolExecutor records each pool and maps in this process
+        import concurrent.futures
+
         from rookideal import betti
 
         class Recording:
@@ -174,7 +176,7 @@ class TestPoolSelection:
                 return map(fn, static, chunks, primes)
 
         started, dealt = [], []
-        monkeypatch.setattr(betti, "ProcessPoolExecutor", Recording)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
         board = Board(3, 4)
         ideal, perms = facet_ideal(board), board_symmetries(board)
         cores = betti._sweep_plan("hochster", ideal, perms).cores
@@ -791,6 +793,46 @@ def _random_squarefree_ideals(count: int, nvars: int, seed: int):
     return out
 
 
+def _random_monomial_ideals(count: int, nvars: int, top: int, seed: int):
+    """Seeded ideals with exponents up to ``top``, none of them squarefree:
+    every generator and most pairs of generators give a lattice point that at
+    most two generators divide."""
+    rng = random.Random(seed)
+    ambient = VariableSet.generic(nvars)
+    out = []
+    while len(out) < count:
+        gens = [
+            Monomial(ambient, tuple(rng.randint(0, top) * (rng.random() < 0.6) for _ in range(nvars)))
+            for _ in range(rng.randint(2, 5))
+        ]
+        ideal = min_gens([g for g in gens if g.degree], ambient)
+        if not ideal.is_zero and not ideal.is_squarefree:
+            out.append(ideal)
+    return out
+
+
+class TestClosedFormSpheres:
+    """A job whose complex is a sphere that the generators it holds show is
+    read off them, before any complex is built."""
+
+    def test_random_plans_do_not_change(self):
+        # every sphere entry, core and placement of both routes' plans of
+        # seeded random ideals, hashed; the value is the plans of the sweep
+        # that cut every job's complex to its strong core
+        from rookideal import betti
+
+        ideals = _random_squarefree_ideals(40, 7, seed=21) + _random_squarefree_ideals(20, 10, seed=22)
+        ideals += _random_monomial_ideals(12, 4, 3, seed=23)
+        rows = []
+        for ideal in ideals:
+            if ideal.is_squarefree:
+                plan = betti._hochster_plan(ideal, None)
+                rows.append((sorted(plan.spheres.items()), plan.cores))
+            plan = betti._koszul_plan(ideal, None)
+            rows.append((sorted(plan.spheres.items()), plan.cores))
+        assert hashlib.sha256(repr(rows).encode()).hexdigest()[:16] == "c79e35a6ef166c1e"
+
+
 class TestStrongCore:
     """Plan jobs hold the strong core of their complex (dominated vertices
     deleted until none is left), and jobs whose core is a point are dropped."""
@@ -873,8 +915,8 @@ class TestStrongCore:
         assert _strong_core((0b00111, 0b11000)) == (0b00100, 0b10000)  # apart: top vertices
 
     def test_plans_match_uncollapsed_plans(self, monkeypatch):
-        # the plain plan reduces every job's whole complex: no strong core and
-        # no sphere rule
+        # the plain plan reduces every job's whole complex: no strong core, no
+        # sphere rule and no sphere read off the generators
         from rookideal import betti
 
         def reduced_jobs(plan):
@@ -895,6 +937,8 @@ class TestStrongCore:
                     with monkeypatch.context() as patched:
                         patched.setattr(betti, "_strong_core", lambda facets: tuple(sorted(set(facets))))
                         patched.setattr(betti, "_sphere_dimension", lambda facets: None)
+                        patched.setattr(betti, "_restriction_sphere", lambda sigma, inside: None)
+                        patched.setattr(betti, "_lattice_sphere", lambda r: None)
                         betti.clear_table_cache()
                         full = route(ideal, field)
                         full_plan = plans[-1]
@@ -992,12 +1036,14 @@ class TestSphereCores:
     @pytest.mark.parametrize("grouped", [False, True])
     def test_one_sphere_test_per_distinct_core(self, monkeypatch, grouped):
         # on the 3x4 facet plan many jobs share a core, and each distinct
-        # core that is not a point is tested once
+        # core that is not a point is tested once; a job read off the
+        # generators reaches neither the strong core nor the sphere test
         from rookideal import betti
 
         board = Board(3, 4)
-        jobs, tested = [], []
+        jobs, tested, read_off = [], [], []
         gather, sphere_dimension = betti._gather, betti._sphere_dimension
+        restriction_sphere = betti._restriction_sphere
 
         def recorded(route, found, *rest):
             jobs.extend(found)
@@ -1007,13 +1053,20 @@ class TestSphereCores:
             tested.append(facets)
             return sphere_dimension(facets)
 
+        def classified(sigma, inside):
+            d = restriction_sphere(sigma, inside)
+            read_off.append(d is not None)
+            return d
+
         monkeypatch.setattr(betti, "_gather", recorded)
         monkeypatch.setattr(betti, "_sphere_dimension", counted)
+        monkeypatch.setattr(betti, "_restriction_sphere", classified)
         symmetries = board_symmetries(board) if grouped else None
         betti._sweep_plan("hochster", facet_ideal(board), symmetries)
         distinct = {betti._strong_core(facets) for facets, _, _ in jobs} - {None}
         assert len(jobs) > len(distinct) > 1
         assert sorted(tested) == sorted(distinct)
+        assert len(jobs) + sum(read_off) == len(read_off) and any(read_off)
 
     def test_one_sweep_reduces_each_distinct_core_once_per_prime(self, monkeypatch):
         from rookideal import betti
@@ -1114,13 +1167,19 @@ class TestKoszulJobs:
 
     @pytest.mark.parametrize("width", [2, 3, 4, 5])
     def test_degrees_and_facets_match_the_exponents(self, monkeypatch, width):
+        # every lattice point's job with the closed form switched off; with
+        # it, a point that at most two generators divide adds its sphere
+        # entry (r - 1, degree) and builds no facets, and the others are the
+        # same jobs as before
         from rookideal import betti
 
         rng = random.Random(width)
         top = (1 << (width - 1)) - 1  # the largest exponent this width holds
         ambient = VariableSet.generic(4)
-        jobs = []
-        monkeypatch.setattr(betti, "_gather", lambda route, found: jobs.extend(found))
+        gathered = []
+        monkeypatch.setattr(betti, "_gather", lambda route, found, spheres: gathered.append((found, spheres)))
+        lattice_sphere = betti._lattice_sphere
+        read_off = kept = 0
         for _ in range(6):
             # (top, 0, 0, 0) and vectors that avoid variable 0: an antichain
             # whose largest exponent is top
@@ -1130,14 +1189,27 @@ class TestKoszulJobs:
             ideal = min_gens([Monomial(ambient, v) for v in vectors if any(v)], ambient)
             vectors = [g.exponents for g in ideal.gens]
             assert betti._field_width(vectors) == width
-            jobs.clear()
-            betti._koszul_plan(ideal, None)
             lattice = oracles.tuple_join_closure(vectors)
-            assert [degree for _, degree, _ in jobs] == [sum(b) for b in lattice]
-            for (facets, _, weight), b in zip(jobs, lattice):
-                divisors = [g for g in vectors if all(map(operator.le, g, b))]
-                expected = {sum(1 << i for i in range(4) if b[i] > g[i]) for g in divisors}
-                assert sorted(facets) == sorted(expected) and weight == 1
+            divisors = {b: [g for g in vectors if all(map(operator.le, g, b))] for b in lattice}
+            spheres = {}
+            for b in lattice:
+                if len(divisors[b]) <= 2:
+                    key = (len(divisors[b]) - 1, sum(b))
+                    spheres[key] = spheres.get(key, 0) + 1
+            for closed in (False, True):
+                monkeypatch.setattr(betti, "_lattice_sphere", lattice_sphere if closed else lambda r: None)
+                gathered.clear()
+                betti._koszul_plan(ideal, None)
+                ((jobs, entries),) = gathered
+                points = [b for b in lattice if not closed or len(divisors[b]) > 2]
+                assert entries == (spheres if closed else {})
+                assert [degree for _, degree, _ in jobs] == [sum(b) for b in points]
+                for (facets, _, weight), b in zip(jobs, points):
+                    expected = {sum(1 << i for i in range(4) if b[i] > g[i]) for g in divisors[b]}
+                    assert sorted(facets) == sorted(expected) and weight == 1
+            read_off += len(lattice) - len(jobs)
+            kept += len(jobs)
+        assert read_off and kept
 
 
 class TestDualCores:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 
@@ -153,7 +154,7 @@ class TestInvariantsCommand:
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool was started")
 
-        monkeypatch.setattr(betti, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         code, out, err = run_cli(capsys, *command, "--threads", threads)
         assert code == 1 and out == ""
         assert err == f"usage error: unrecognized arguments: --threads {threads}\n"

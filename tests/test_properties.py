@@ -425,6 +425,72 @@ def test_sphere_rule_matches_the_kernel(facets):
         assert {k: v for k, v in found.items() if v} == {d: 1}
 
 
+def _closed_form_jobs(ideal, route):
+    """(lattice point, its plan input, the closed form's d or None, the
+    job's complex as faces or facets) for every point of the route's
+    lattice, found without the plan: the lattice by pairwise joins of
+    tuples, a point's generators by comparing exponents."""
+    out = []
+    for b in oracles.tuple_join_closure([g.exponents for g in ideal.gens]):
+        divisors = [g.exponents for g in ideal.gens if all(map(operator.le, g.exponents, b))]
+        if route == "koszul":
+            # the upper Koszul complex at b: a facet {i : b_i > g_i} per g | b
+            facets = [_mask_of([i for i in range(len(b)) if b[i] > g[i]]) for g in divisors]
+            out.append((b, len(divisors), betti._lattice_sphere(len(divisors)), facets))
+            continue
+        # the restriction to sigma: its subsets that hold no generator support
+        sigma = _mask_of([i for i in range(len(b)) if b[i]])
+        inside = sorted(_mask_of([i for i in range(len(g)) if g[i]]) for g in divisors)
+        faces = [s for s in range(sigma + 1) if s & sigma == s and not any(g & s == g for g in inside)]
+        out.append((b, (sigma, inside), betti._restriction_sphere(sigma, inside), faces))
+    return out
+
+
+@st.composite
+def support_ideals(draw):
+    """Squarefree ideals of 2 to 5 generators with 1 to 4 variables each, on
+    4 to 7 variables, so that lattice points that two generators make, with
+    one or more vertices outside each other, are common."""
+    ambient = VariableSet.generic(draw(st.integers(4, 7)))
+    supports = st.sets(st.integers(0, ambient.count - 1), min_size=1, max_size=4)
+    return min_gens([Monomial.from_support(ambient, s) for s in draw(st.lists(supports, min_size=2, max_size=5))], ambient)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(support_ideals(), ideals(max_vars=4, max_gens=5, max_exp=3)))
+@example(min_gens([Monomial(VariableSet.generic(5), e) for e in [(1, 1, 1, 0, 0), (0, 0, 1, 1, 1)]], VariableSet.generic(5)))
+@example(min_gens([Monomial(VariableSet.generic(4), e) for e in [(1, 1, 1, 0), (0, 1, 1, 1)]], VariableSet.generic(4)))
+def test_closed_form_spheres_match_the_strong_core(ideal):
+    # every job a plan reads off its generators gets the d, and so the
+    # (i, degree), that its strong core and the sphere test give; and the
+    # plan asks about every lattice point, with the generators it holds.
+    # The examples: two supports with two vertices each outside the other
+    # (left to the strong core), and with one (read off)
+    from unittest import mock
+
+    if ideal.is_zero or ideal.is_unit:
+        return
+    routes = {"koszul": ("_lattice_sphere", betti._koszul_plan)}
+    if ideal.is_squarefree:
+        routes["hochster"] = ("_restriction_sphere", betti._hochster_plan)
+    for route, (rule, plan) in routes.items():
+        jobs = _closed_form_jobs(ideal, route)
+        for b, _, d, complex_ in jobs:
+            if d is not None:
+                core = betti._strong_core(complex_)
+                assert core is not None and betti._sphere_dimension(core) == d, (route, b)
+        asked = []
+        real = getattr(betti, rule)
+
+        def recorded(*args):
+            asked.append(args[0] if route == "koszul" else (args[0], sorted(args[1])))
+            return real(*args)
+
+        with mock.patch.object(betti, rule, recorded):
+            plan(ideal, None)
+        assert sorted(asked) == sorted(asked_of for _, asked_of, _, _ in jobs)
+
+
 @st.composite
 def monomial_lists(draw, max_vars=5, max_exp=3, max_size=12):
     """Monomials of mixed degrees with repeats and divisibilities mixed in."""
