@@ -33,45 +33,36 @@ The symmetry check tests only the permutations that Dimino's method takes as
 generators. On the lattice route a point's degree is read off its bit
 planes (bit j of every field), and a facet's variable mask off the guard
 bits of b - g. Before any facet is built, a job is read off the r generators
-it holds (those inside sigma, or those dividing b) when they show that its
-complex is a d-sphere, and adds its entry in closed form:
-
-* restriction, pairwise disjoint supports: the join of the boundaries of
-  the simplices on them, d = |sigma| - r - 1 (Bjoerner 1995);
-* restriction, r = 2, one support with a single vertex v outside the other,
-  h: every facet through v holds the vertices of h outside the first, so v
-  is dominated and the strong core is the boundary of h, d = |sigma| - 3
-  (strong cores are unique up to isomorphism, Barmak and Minian 2012);
-* lattice, r <= 2: for r = 1, b is a generator and the complex is {empty
-  face}, d = -1; for r = 2, b - g or b - h is 0 at every variable, so the
-  two facets are disjoint and nonempty, two points after collapse, d = 0.
-
-In each case the Taylor complex (Taylor 1966) has one face in that degree,
-all r generators, so the one Betti number there sits in homological degree
-r - 1, where Hochster's formula and the upper Koszul complex (Miller and
-Sturmfels 2005, Chs. 1 and 5) put the sphere. Every other complex
-is cut to its strong core: dominated vertices (another vertex lies in every
-facet through them) are deleted one at a time, which keeps the homotopy type
-and so the reduced homology over every field, and a job whose core is a point
-is dropped; with two maximal facets the core is read off at once (a point
-when they meet, else their two highest vertices). The jobs are then grouped
-by core, with the (degree, orbit size) of each job that has it, and each
-distinct core is tested once. A core that is a join of simplex boundaries is
-a sphere, with one copy of the field in a dimension its vertex and part
-counts give; the plan adds its jobs to the table in closed form, the same
-for every field. Every other core is kept once. On the restriction route a core K is an induced subcomplex (a strong
-collapse only deletes vertices), so its minimal non-faces are the generator
-supports inside its vertex set V, and its Alexander dual on V takes one pass
-over the generators. H~_e of the dual is H~_{|V|-e-3} of K over every field
-(combinatorial Alexander duality, Bjoerner and Tancer 2009), so K is dropped
-when the dual's strong core is a point, and that core is swept in K's place
-when it has fewer subsets (sum 2^|facet|). The lattice route keeps its
-cores, so the two routes stay independent computations. One sweep serves
-every field asked for at once: it builds each distinct core's faces once,
-as one bitmap per dimension, or as one set of masks per dimension when
-its 2^n masks far outnumber its subsets (rookideal.homology), and reduces
-them while
-they are in hand, so only one core's faces are held at a time. The
+it holds (those inside sigma, or those dividing b; b is their lcm) when b is
+the lcm of no other subset of them: when each of them reaches b's exponent
+at some variable where no other one does. The Taylor complex (Taylor 1966)
+is a free resolution with one basis element per subset of the generators,
+in the multidegree of the subset's lcm, so beta_{i,b} is at most the number
+of (i+1)-subsets with lcm b, and in multidegree b the alternating sums of
+the two resolutions agree; with one such subset, beta_{r-1,b} = 1 and every
+other beta_{i,b} is 0 (Miller and Sturmfels 2005, 4.3 and Ch. 5). The job
+adds (r - 1, degree) in closed form. Every other complex is cut to its
+strong core: dominated vertices (another vertex lies in every facet through
+them) are deleted one at a time, which keeps the homotopy type and so the
+reduced homology over every field, and a job whose core is a point is
+dropped. The jobs are then grouped by core, with the (degree, orbit size)
+of each job that has it. On the restriction route a core K is an induced
+subcomplex (a strong collapse only deletes vertices), so its minimal
+non-faces are the generator supports inside its vertex set V, and its
+Alexander dual on V takes one pass over the generators. H~_e of the dual is
+H~_{|V|-e-3} of K over every field (combinatorial Alexander duality,
+Bjoerner and Tancer 2009), so K is dropped when the dual's strong core is a
+point, and that core is swept in K's place when it has fewer subsets (sum
+2^|facet|). The lattice route keeps its cores, so the two routes stay
+independent computations. Each distinct core is then tested once, as the
+complex that would be swept: a join of simplex boundaries is a sphere, with
+one copy of the field in a dimension its vertex and part counts give, and
+the plan adds its jobs to the table in closed form, the same for every
+field. Every other complex is kept once. One sweep serves every field asked
+for at once: it builds each distinct core's faces once, as one bitmap per
+dimension, or as one set of masks per dimension when its 2^n masks far
+outnumber its subsets (rookideal.homology), and reduces them while they are
+in hand, so only one core's faces are held at a time. The
 reduction runs once, over the integers, and when every pivot it meets is
 +-1 its ranks hold at every prime; the GF(2) cross-run then reads the same
 ranks, the proof that the core has no torsion, instead of reducing again.
@@ -499,13 +490,7 @@ def _strong_core(facets) -> tuple[int, ...] | None:
     left: a simplex collapses to a point. Deleting v changes only facets
     through v, so only the vertices that shared a facet with v are checked
     again. A point is contractible, so all its reduced Betti numbers are 0;
-    the irrelevant complex (0,) has no vertex and is its own core.
-
-    Two maximal facets need no loop. If they meet, a vertex they share lies
-    in every facet, so every other vertex is dominated, and a deletion keeps
-    the two facets meeting: the loop ends at one simplex, a point. If they
-    are disjoint, a vertex is dominated exactly while its facet has another
-    vertex left, so deleting from the lowest up leaves the highest of each."""
+    the irrelevant complex (0,) has no vertex and is its own core."""
     core: list[int] = []
     for f in sorted(set(facets), key=int.bit_count, reverse=True):
         for g in core:
@@ -513,11 +498,6 @@ def _strong_core(facets) -> tuple[int, ...] | None:
                 break
         else:
             core.append(f)
-    if len(core) == 2:
-        f, g = core
-        if f & g:
-            return None
-        return tuple(sorted((1 << f.bit_length() - 1, 1 << g.bit_length() - 1)))
     todo = functools.reduce(operator.or_, core, 0)
     while todo and len(core) > 1:
         bit = todo & -todo
@@ -591,54 +571,37 @@ def _sphere_dimension(facets) -> int | None:
     return vertices.bit_count() - len(parts) - 1
 
 
-def _homological_index(route: str, degree: int, d: int) -> int:
-    """Where H~_d of a job's complex counts: in homological degree
-    |sigma| - d - 2 for the restriction to sigma (Hochster's formula), in
-    d + 1 for the upper Koszul complex at b."""
-    return degree - d - 2 if route == "hochster" else d + 1
+def _lone_lcm(tight, count: int) -> bool:
+    """Whether a lattice point b is the lcm of exactly one subset of the r
+    generators that divide it (then beta_{r-1,b} = 1 is its only Betti
+    number; see the module docstring). ``tight`` holds one mask per divisor,
+    with one bit for each variable where it reaches b's exponent (the same
+    bit for a variable in every mask), and ``count`` is the number of
+    variables. The subset is all r divisors, and it is the only one when no
+    divisor can be dropped: when each has a variable where no other reaches
+    b, so only when r <= count."""
+    if len(tight) > count:
+        return False
+    seen = twice = 0
+    for t in tight:
+        twice |= seen & t
+        seen |= t
+    return all(t & ~twice for t in tight)
 
 
-def _add_sphere(spheres: dict, route: str, degree: int, d: int, weight: int) -> None:
-    """Count a job whose complex is a d-sphere, one copy of the field in
-    dimension d over every field, ``weight`` times in the table entries
-    ``spheres``."""
-    i = _homological_index(route, degree, d)
+def _place(out: dict, route: str, placement, e: int, v: int) -> None:
+    """Count v copies of the field in H~_e of a swept complex at one
+    placement (degree, orbit size) of its core, v * orbit size times, in the
+    table entries ``out``. H~_d of the job's complex counts in homological
+    degree |sigma| - d - 2 at the restriction to sigma (Hochster's formula),
+    and in d + 1 at the upper Koszul complex at b. d = e, except at a
+    placement (degree, orbit size, n): there the complex swept is the
+    Alexander dual of a core on n vertices, and d = n - e - 3."""
+    degree, weight, *dual = placement
+    d = dual[0] - e - 3 if dual else e
+    i = degree - d - 2 if route == "hochster" else d + 1
     if i >= 0:
-        spheres[(i, degree)] = spheres.get((i, degree), 0) + weight
-
-
-def _restriction_sphere(sigma: int, inside: list[int]) -> int | None:
-    """d when the restriction of the monomial-free complex to the lattice
-    point sigma is a d-sphere that ``inside``, the r generator supports
-    inside sigma (their union is sigma), show without its facets; else None.
-    The restriction's minimal non-faces are those supports.
-
-    Pairwise disjoint supports (sizes summing to |sigma|): the restriction is
-    the join of the boundaries of the simplices on them, a sphere with
-    d = |sigma| - r - 1. Two supports, one with a single vertex v outside the
-    other, h: every facet through v misses some vertex the two share and holds
-    every vertex of h the other lacks, so v is dominated, and deleting it
-    leaves the boundary of the simplex on h, d = |sigma| - 3 (strong cores
-    are unique up to isomorphism, Barmak and Minian 2012)."""
-    n = sigma.bit_count()
-    if sum(map(int.bit_count, inside)) == n:
-        return n - len(inside) - 1
-    if len(inside) == 2:
-        f, h = inside
-        if (f & ~h).bit_count() == 1 or (h & ~f).bit_count() == 1:
-            return n - 3
-    return None
-
-
-def _lattice_sphere(r: int) -> int | None:
-    """d when the upper Koszul complex at a lattice point b that r generators
-    divide is a d-sphere whatever they are; else None. With r = 1, b is a
-    generator and the complex is {empty face}, d = -1. With r = 2, b is the
-    lcm of two generators g and h, so at every variable b - g or b - h is 0:
-    the two facets are disjoint, and neither is empty, since neither
-    generator divides the other. Two disjoint simplices collapse to two
-    points, d = 0."""
-    return r - 2 if r <= 2 else None
+        out[(i, degree)] = out.get((i, degree), 0) + v * weight
 
 
 def _subsets(facets) -> int:
@@ -663,11 +626,11 @@ def _dual_core(core, supports) -> tuple[int, ...] | None:
 class _SweepPlan(NamedTuple):
     """The field-independent part of a table. ``spheres`` holds the table
     entries, {(i, degree): multiplicity}, of the jobs read off their
-    generators and of those whose strong core is a join of simplex
-    boundaries, the same over every field; ``cores`` lists
-    every other complex to sweep once, as (facet masks, [(degree, orbit
-    size), ...] of the jobs it stands for). A placement (degree, orbit size,
-    n) stands for a core on n vertices whose Alexander dual is swept."""
+    generators and of those whose complex to sweep is a join of simplex
+    boundaries, the same over every field; ``cores`` lists every other
+    complex to sweep once, as (facet masks, [(degree, orbit size), ...] of
+    the jobs it stands for). A placement (degree, orbit size, n) stands for a
+    core on n vertices whose Alexander dual is swept (see _place)."""
 
     spheres: dict[tuple[int, int], int]
     cores: list[tuple[tuple[int, ...], list[tuple[int, ...]]]]
@@ -678,38 +641,37 @@ def _gather(route: str, jobs, spheres: dict, supports=None) -> _SweepPlan:
     sphere entries start from ``spheres`` (the jobs the plan read off the
     generators): each complex is cut to its strong core, a point adds
     nothing, and the other jobs are grouped by core, in the order each core
-    first appears. Each distinct core is then tested once: a sphere adds its
-    closed form at every placement, and every other core is kept, in that
-    order, with all its placements. With the generator ``supports`` (the
-    restriction route),
-    each kept core K on n vertices is weighed, once, against the strong core
-    of its Alexander dual: H~_e of the dual is H~_{n-e-3} of K over every
-    field (Bjoerner and Tancer 2009), so K is dropped when that core is a
-    point, and the dual is swept instead when it has fewer subsets."""
+    first appears. Each distinct core is then taken in that order. With the
+    generator ``supports`` (the restriction route), a core K on n vertices
+    is first weighed against the strong core of its Alexander dual: H~_e of
+    the dual is H~_{n-e-3} of K over every field (Bjoerner and Tancer 2009),
+    so K is dropped when that core is a point, and the dual is taken instead
+    when it has fewer subsets. Each distinct complex taken is sphere-tested
+    once: a sphere adds its closed form at every placement, and every other
+    complex is kept, in the order it is first taken, with all its
+    placements."""
     placed: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for facets, degree, weight in jobs:
         core = _strong_core(facets)
         if core is not None:
             placed.setdefault(core, []).append((degree, weight))
-    cores = []
-    for core, placements in placed.items():
-        d = _sphere_dimension(core)
-        if d is None:
-            cores.append((core, placements))
-            continue
-        for degree, weight in placements:
-            _add_sphere(spheres, route, degree, d, weight)
-    if supports is None:
-        return _SweepPlan(spheres, cores)
     swept: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for core, placements in cores:
-        dual = _dual_core(core, supports)
-        if dual is None:
-            continue
-        if _subsets(dual) < _subsets(core):
-            n = functools.reduce(operator.or_, core).bit_count()
-            core, placements = dual, [(degree, weight, n) for degree, weight in placements]
-        swept.setdefault(core, []).extend(placements)
+    # two cores can be taken as the same complex, which is tested once
+    sphere_dimension = functools.cache(_sphere_dimension)
+    for core, placements in placed.items():
+        if supports is not None:
+            dual = _dual_core(core, supports)
+            if dual is None:
+                continue
+            if _subsets(dual) < _subsets(core):
+                n = functools.reduce(operator.or_, core).bit_count()
+                core, placements = dual, [(degree, weight, n) for degree, weight in placements]
+        d = sphere_dimension(core)
+        if d is None:
+            swept.setdefault(core, []).extend(placements)
+        else:
+            for placement in placements:
+                _place(spheres, route, placement, d, 1)
     return _SweepPlan(spheres, list(swept.items()))
 
 
@@ -731,11 +693,13 @@ def _hochster_plan(ideal: MonomialIdeal, symmetries, primes=None) -> _SweepPlan:
         join = _unions if images is None else _lane_unions
         for sigma, weight in _orbit_jobs(gens, join, images, _level_plane(1, count)):
             degree = sigma.bit_count()
-            d = _restriction_sphere(sigma, [g for g in gens if g & sigma == g])
-            if d is None:
-                yield {f & sigma for f in delta_facets}, degree, weight
+            # a support reaches sigma's exponent, 1, at each of its vertices
+            inside = [g for g in gens if g & sigma == g]
+            if _lone_lcm(inside, count):
+                key = (len(inside) - 1, degree)
+                spheres[key] = spheres.get(key, 0) + weight
             else:
-                _add_sphere(spheres, "hochster", degree, d, weight)
+                yield {f & sigma for f in delta_facets}, degree, weight
 
     return _gather("hochster", jobs(), spheres, gens)
 
@@ -752,31 +716,34 @@ def _koszul_plan(ideal: MonomialIdeal, symmetries) -> _SweepPlan:
     # bit plane j: bit j of every field, so b's degree is sum 2^j |b & plane j|
     planes = [ones << j for j in range(width - 1)]
     # the guard bit of variable i's field -> bit i, and the guard bits of the
-    # nonzero fields of b - g -> the mask of those variables
+    # fields where g reaches b -> the mask of the other variables
     variable_bit = {1 << (at + width - 1): 1 << i for i, at in enumerate(offsets)}
     masks: dict[int, int] = {}
     jobs = []
     spheres: dict[tuple[int, int], int] = {}
     join = _swar_joins(width, count) if images is None else _lane_swar_joins(width, count)
     for b, weight in _orbit_jobs(gens, join, images, _level_plane(width, count)):
-        bg = b | guards
-        divisors = [g for g in gens if (bg - g) & guards == guards]
+        bg, lift = b | guards, guards - b
+        # for each g | b, the guard bits of the fields where g reaches b: field
+        # by field 2^(w-1) - b_i + g_i, which crosses no field as g_i <= b_i <
+        # 2^(w-1), has its guard bit set exactly when g_i = b_i
+        tight = [(lift + g) & guards for g in gens if (bg - g) & guards == guards]
         degree = sum((b & plane).bit_count() << j for j, plane in enumerate(planes))
-        d = _lattice_sphere(len(divisors))
-        if d is not None:
-            _add_sphere(spheres, "koszul", degree, d, weight)
+        if _lone_lcm(tight, count):
+            key = (len(tight) - 1, degree)
+            spheres[key] = spheres.get(key, 0) + weight
             continue
         facets = []
         # the upper Koszul complex at b has a facet {i : b_i > g_i} for each g | b
-        for nonzero in {(((b - g) | guards) - ones) & guards for g in divisors}:
-            mask = masks.get(nonzero)
+        for t in set(tight):
+            mask = masks.get(t)
             if mask is None:
-                mask, rest = 0, nonzero
+                mask, rest = 0, guards ^ t
                 while rest:
                     guard = rest & -rest
                     rest ^= guard
                     mask |= variable_bit[guard]
-                masks[nonzero] = mask
+                masks[t] = mask
             facets.append(mask)
         jobs.append((facets, degree, weight))
     return _gather("koszul", jobs, spheres)
@@ -792,24 +759,16 @@ def _sweep_chunk(route: str, cores, fields) -> list[dict]:
     """The table entries of some of a plan's distinct cores, one dict for each
     field in ``fields``: each core's faces are built once and reduced while
     they are in hand, by one integer reduction for every field unless the
-    core meets a pivot other than +-1, and each reduced Betti
-    number v counts v * orbit size at every placement (degree, orbit size) of
-    the core, in the homological degree _homological_index gives. At a
-    placement (degree, orbit size, n), the complex swept is the dual of a
-    core on n vertices, and its H~_e counts as that core's H~_{n-e-3}."""
+    core meets a pivot other than +-1, and each reduced Betti number v is
+    counted at every placement of the core by _place."""
     outs: list[dict[tuple[int, int], int]] = [{} for _ in fields]
     for facets, placements in cores:
         by_dim = faces_by_dim_masks(facets)
         for field, out in zip(fields, outs):
             for e, v in betti_of_face_masks(by_dim, field).items():
-                if not v:
-                    continue
-                for degree, weight, *dual in placements:
-                    d = dual[0] - e - 3 if dual else e
-                    i = _homological_index(route, degree, d)
-                    if i >= 0:
-                        key = (i, degree)
-                        out[key] = out.get(key, 0) + v * weight
+                if v:
+                    for placement in placements:
+                        _place(out, route, placement, e, v)
         del by_dim  # before the next core's faces are built
     return outs
 
@@ -823,17 +782,18 @@ _hochster_chunk = _koszul_chunk = _sweep_chunk
 # The sweep's work grows with the subsets of the cores' facets, sum 2^|facet|
 # over the distinct cores, which also orders the cores for dealing. Measured
 # on a shared 2-vCPU guest with the bitmap face layer and the one integer
-# reduction, both fields, the sweep alone, two series of medians: the 4x4
-# board plan (30 cores, 155k subsets) took 0.024-0.031 s in one process and
-# 0.038-0.040 s in two, a loss; the 4x5 plan (232 cores, 4.0M subsets) took
-# 0.51-0.57 s in one and 0.30 s in two. On 4x5 the subset count ranks the
-# cores' sweep times with Spearman correlation 0.986, and dealing them
-# largest first gives a two-process schedule of 0.274 s (simulated from each
-# core's time in one process), against 0.280 s with the cores ordered by
-# their measured times. A second process costs about
-# 0.03 s, so it pays from some 0.4M subsets. The threshold stays at 1M: the
-# two plans fall on the same sides of it as before, and below it a second
-# process would save a few hundredths of a second at most, for its memory.
+# reduction, both fields, the sweep alone, medians of 5 in two series: the
+# 4x4 board plan (17 cores, 154,480 subsets) took 0.015 s in one process and
+# 0.021-0.038 s in two, a loss; the 4x5 plan (190 cores, 3,978,976 subsets)
+# took 0.31 s in one and 0.23-0.31 s in two. On an earlier 232-core 4x5 plan
+# the subset count ranked the cores' sweep times with Spearman correlation
+# 0.986, and dealing them largest first gave a two-process schedule of
+# 0.274 s (simulated from each core's time in one process), against 0.280 s
+# with the cores ordered by their measured times. A second process costs
+# about 0.03 s, so it pays from some 0.4M subsets. The threshold stays at
+# 1M: the two plans fall on the same sides of it as before, and below it a
+# second process would save a few hundredths of a second at most, for its
+# memory.
 _POOL_MIN_SUBSETS = 1 << 20
 
 

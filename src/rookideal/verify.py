@@ -311,14 +311,12 @@ def _squarefree_corpus():
             yield f"sr-{m}x{n}", stanley_reisner_ideal(board), board_symmetries(board)
 
 
-def _random_ideal(rng, ambient, max_gens, max_exp, squarefree=False):
+def _random_ideal(rng, ambient, max_gens, max_exp):
     nvars = ambient.count
     while True:
         gens = []
         for _ in range(rng.randint(1, max_gens)):
-            exps = tuple(
-                rng.randint(0, 1 if squarefree else max_exp) for _ in range(nvars)
-            )
+            exps = tuple(rng.randint(0, max_exp) for _ in range(nvars))
             if any(exps):
                 gens.append(Monomial(ambient, exps))
         ideal = min_gens(gens, ambient)

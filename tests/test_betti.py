@@ -416,7 +416,7 @@ class TestSweepPlan:
         assert _counts(built) == {"hochster": 1, "koszul": 0}
         assert calls["covers"] == 1
         cores = [core for core, _ in built["hochster"][0].cores]
-        assert len(cores) == 16
+        assert len(cores) == 9
         assert sorted(calls["faces"]) == sorted(cores)
         assert len(calls["reduce"]) == len(set(calls["reduce"])) == 2 * len(cores)
         assert {p for _, p in calls["reduce"]} == {2, 32003}
@@ -597,8 +597,8 @@ class TestOrbitSweep:
     @pytest.mark.parametrize(
         "kind, m, n, t, digest",
         [
-            ("facet", 3, 4, 1, "f94c0db1e262d3fd"),
-            ("facet", 4, 4, 1, "a0ffa79f4dd55b73"),
+            ("facet", 3, 4, 1, "9acbef342e5f3bdc"),
+            ("facet", 4, 4, 1, "3953e418cb202c0e"),
             ("sr", 3, 5, 1, "107b2f02c5e7c30e"),
             ("facet", 2, 3, 4, "5d635055d6a461a1"),
             ("facet", 1, 6, 3, "ed4646bea26df34a"),
@@ -606,8 +606,10 @@ class TestOrbitSweep:
     )
     def test_plans_do_not_change(self, kind, m, n, t, digest):
         # every sphere entry, core and placement of both routes' plans, in
-        # both labellings, hashed; the values are the plans of the sweep that
-        # kept every lattice point in one seen set
+        # both labellings, hashed; the SR and power values are the plans of
+        # the sweep that kept every lattice point in one seen set, and the
+        # facet values those of the one closed-form rule that reads a job
+        # off its generators
         from rookideal import betti
 
         board = Board(m, n)
@@ -812,13 +814,13 @@ def _random_monomial_ideals(count: int, nvars: int, top: int, seed: int):
 
 
 class TestClosedFormSpheres:
-    """A job whose complex is a sphere that the generators it holds show is
-    read off them, before any complex is built."""
+    """A job at a lattice point that is the lcm of exactly one subset of the
+    generators it holds is read off them, before any complex is built."""
 
     def test_random_plans_do_not_change(self):
         # every sphere entry, core and placement of both routes' plans of
-        # seeded random ideals, hashed; the value is the plans of the sweep
-        # that cut every job's complex to its strong core
+        # seeded random ideals, hashed; the value is the plans of the one
+        # closed-form rule, with each distinct complex swept sphere-tested
         from rookideal import betti
 
         ideals = _random_squarefree_ideals(40, 7, seed=21) + _random_squarefree_ideals(20, 10, seed=22)
@@ -830,7 +832,7 @@ class TestClosedFormSpheres:
                 rows.append((sorted(plan.spheres.items()), plan.cores))
             plan = betti._koszul_plan(ideal, None)
             rows.append((sorted(plan.spheres.items()), plan.cores))
-        assert hashlib.sha256(repr(rows).encode()).hexdigest()[:16] == "c79e35a6ef166c1e"
+        assert hashlib.sha256(repr(rows).encode()).hexdigest()[:16] == "937411bc8c3d63ce"
 
 
 class TestStrongCore:
@@ -904,8 +906,8 @@ class TestStrongCore:
         assert _strong_core(whiskered) == (0b11000, 0b101000, 0b110000)
 
     def test_small_families_match_the_reference_loop(self):
-        # every family of one to three facet masks on five vertices; with two
-        # maximal facets the core is read off in closed form
+        # every family of one to three facet masks on five vertices; two
+        # maximal facets leave a point when they meet, else their top vertices
         from rookideal.betti import _strong_core
 
         for size in (1, 2, 3):
@@ -916,7 +918,7 @@ class TestStrongCore:
 
     def test_plans_match_uncollapsed_plans(self, monkeypatch):
         # the plain plan reduces every job's whole complex: no strong core, no
-        # sphere rule and no sphere read off the generators
+        # sphere rule and no closed form read off the generators
         from rookideal import betti
 
         def reduced_jobs(plan):
@@ -937,8 +939,7 @@ class TestStrongCore:
                     with monkeypatch.context() as patched:
                         patched.setattr(betti, "_strong_core", lambda facets: tuple(sorted(set(facets))))
                         patched.setattr(betti, "_sphere_dimension", lambda facets: None)
-                        patched.setattr(betti, "_restriction_sphere", lambda sigma, inside: None)
-                        patched.setattr(betti, "_lattice_sphere", lambda r: None)
+                        patched.setattr(betti, "_lone_lcm", lambda tight, count: False)
                         betti.clear_table_cache()
                         full = route(ideal, field)
                         full_plan = plans[-1]
@@ -1035,15 +1036,18 @@ class TestSphereCores:
 
     @pytest.mark.parametrize("grouped", [False, True])
     def test_one_sphere_test_per_distinct_core(self, monkeypatch, grouped):
-        # on the 3x4 facet plan many jobs share a core, and each distinct
-        # core that is not a point is tested once; a job read off the
-        # generators reaches neither the strong core nor the sphere test
+        # on the 3x4 facet plan many jobs share a core; each distinct core
+        # whose dual is not a point is taken as itself or as the strong core
+        # of its dual, whichever has fewer subsets, and each distinct complex
+        # taken is tested once, also when two cores take the same one; a job
+        # read off the generators reaches neither the strong core nor the
+        # sphere test
         from rookideal import betti
 
         board = Board(3, 4)
+        ideal = facet_ideal(board)
         jobs, tested, read_off = [], [], []
-        gather, sphere_dimension = betti._gather, betti._sphere_dimension
-        restriction_sphere = betti._restriction_sphere
+        gather, sphere_dimension, lone_lcm = betti._gather, betti._sphere_dimension, betti._lone_lcm
 
         def recorded(route, found, *rest):
             jobs.extend(found)
@@ -1053,19 +1057,25 @@ class TestSphereCores:
             tested.append(facets)
             return sphere_dimension(facets)
 
-        def classified(sigma, inside):
-            d = restriction_sphere(sigma, inside)
-            read_off.append(d is not None)
-            return d
+        def classified(tight, count):
+            read_off.append(lone_lcm(tight, count))
+            return read_off[-1]
 
         monkeypatch.setattr(betti, "_gather", recorded)
         monkeypatch.setattr(betti, "_sphere_dimension", counted)
-        monkeypatch.setattr(betti, "_restriction_sphere", classified)
+        monkeypatch.setattr(betti, "_lone_lcm", classified)
         symmetries = board_symmetries(board) if grouped else None
-        betti._sweep_plan("hochster", facet_ideal(board), symmetries)
+        betti._sweep_plan("hochster", ideal, symmetries)
+        supports = [g.support_mask() for g in ideal.gens]
         distinct = {betti._strong_core(facets) for facets, _, _ in jobs} - {None}
+        taken = []
+        for core in distinct:
+            dual = betti._dual_core(core, supports)
+            if dual is not None:
+                taken.append(dual if betti._subsets(dual) < betti._subsets(core) else core)
         assert len(jobs) > len(distinct) > 1
-        assert sorted(tested) == sorted(distinct)
+        assert len(taken) > len(set(taken))  # two cores take the same complex
+        assert sorted(tested) == sorted(set(taken))
         assert len(jobs) + sum(read_off) == len(read_off) and any(read_off)
 
     def test_one_sweep_reduces_each_distinct_core_once_per_prime(self, monkeypatch):
@@ -1086,13 +1096,14 @@ class TestSphereCores:
         duals = _duals_taken(monkeypatch)
         monkeypatch.setattr(betti, "faces_by_dim_masks", counted_faces)
         monkeypatch.setattr(betti, "betti_of_face_masks", counted_reduce)
-        # on the random ideals every restriction core is swept as its dual;
-        # the 4x4 board keeps one as itself
-        board = Board(4, 4)
+        # the 3x4 board's restriction plan has a core that two orbits share,
+        # and cores swept as themselves and as their duals; the random
+        # ideals' plans hold one core on each route between them
         cases = [
             (ideal, ("hochster", "koszul"), None) for ideal in _random_squarefree_ideals(20, 7, seed=9)
         ]
-        cases.append((facet_ideal(board), ("hochster",), board_symmetries(board)))
+        for board in (Board(3, 4), Board(4, 4)):
+            cases.append((facet_ideal(board), ("hochster",), board_symmetries(board)))
         shared = swept_duals = swept_selves = 0
         for ideal, routes, symmetries in cases:
             for route in routes:
@@ -1123,7 +1134,7 @@ class TestSphereCores:
                         swept_duals += 1
                     shared += len(placements) > 1
         betti.clear_table_cache()
-        assert sum(map(len, built.values())) == 41
+        assert sum(map(len, built.values())) == 42
         assert shared  # some core stands for several jobs
         assert swept_duals  # and some dual is swept in a core's place
         assert swept_selves  # and some restriction core is swept as itself
@@ -1168,9 +1179,10 @@ class TestKoszulJobs:
     @pytest.mark.parametrize("width", [2, 3, 4, 5])
     def test_degrees_and_facets_match_the_exponents(self, monkeypatch, width):
         # every lattice point's job with the closed form switched off; with
-        # it, a point that at most two generators divide adds its sphere
-        # entry (r - 1, degree) and builds no facets, and the others are the
-        # same jobs as before
+        # it, a point where each of the r generators dividing it reaches its
+        # exponent at a variable where no other one does adds the entry
+        # (r - 1, degree) and builds no facets, and the others are the same
+        # jobs as before
         from rookideal import betti
 
         rng = random.Random(width)
@@ -1178,30 +1190,37 @@ class TestKoszulJobs:
         ambient = VariableSet.generic(4)
         gathered = []
         monkeypatch.setattr(betti, "_gather", lambda route, found, spheres: gathered.append((found, spheres)))
-        lattice_sphere = betti._lattice_sphere
+        lone_lcm = betti._lone_lcm
         read_off = kept = 0
-        for _ in range(6):
+        draws = [
+            [(0, *(rng.randint(0, top) for _ in range(3))) for _ in range(rng.randint(1, 4))] for _ in range(6)
+        ]
+        # and a triangle on variables 1-3, whose top point the rule leaves
+        draws.append([(0, top, top, 0), (0, 0, top, top), (0, top, 0, top)])
+        for drawn in draws:
             # (top, 0, 0, 0) and vectors that avoid variable 0: an antichain
             # whose largest exponent is top
-            vectors = [(top, 0, 0, 0)] + [
-                (0, *(rng.randint(0, top) for _ in range(3))) for _ in range(rng.randint(1, 4))
-            ]
+            vectors = [(top, 0, 0, 0)] + drawn
             ideal = min_gens([Monomial(ambient, v) for v in vectors if any(v)], ambient)
             vectors = [g.exponents for g in ideal.gens]
             assert betti._field_width(vectors) == width
             lattice = oracles.tuple_join_closure(vectors)
             divisors = {b: [g for g in vectors if all(map(operator.le, g, b))] for b in lattice}
+
+            def lone(b):
+                reaches = [{i for i in range(4) if g[i] == b[i]} for g in divisors[b]]
+                return all(own - set().union(*reaches[:k], *reaches[k + 1 :]) for k, own in enumerate(reaches))
+
             spheres = {}
-            for b in lattice:
-                if len(divisors[b]) <= 2:
-                    key = (len(divisors[b]) - 1, sum(b))
-                    spheres[key] = spheres.get(key, 0) + 1
+            for b in filter(lone, lattice):
+                key = (len(divisors[b]) - 1, sum(b))
+                spheres[key] = spheres.get(key, 0) + 1
             for closed in (False, True):
-                monkeypatch.setattr(betti, "_lattice_sphere", lattice_sphere if closed else lambda r: None)
+                monkeypatch.setattr(betti, "_lone_lcm", lone_lcm if closed else lambda tight, count: False)
                 gathered.clear()
                 betti._koszul_plan(ideal, None)
                 ((jobs, entries),) = gathered
-                points = [b for b in lattice if not closed or len(divisors[b]) > 2]
+                points = [b for b in lattice if not closed or not lone(b)]
                 assert entries == (spheres if closed else {})
                 assert [degree for _, degree, _ in jobs] == [sum(b) for b in points]
                 for (facets, _, weight), b in zip(jobs, points):
@@ -1226,9 +1245,9 @@ class TestDualCores:
         board = Board(4, 4)
         plan = betti._hochster_plan(facet_ideal(board), board_symmetries(board))
         swapped = {k: dual for k, dual in duals.items() if betti._subsets(dual) < betti._subsets(k)}
-        assert len(duals) == 31 and len(swapped) == 30
-        assert sum(map(betti._subsets, duals)) == 354_880
-        assert sum(betti._subsets(core) for core, _ in plan.cores) == 155_020
+        assert len(duals) == 18 and len(swapped) == 17
+        assert sum(map(betti._subsets, duals)) == 316_992
+        assert sum(betti._subsets(core) for core, _ in plan.cores) == 154_480
         for core, dual in swapped.items():
             n = _vertex_count(core)
             for field in (DEFAULT_FIELD, GF2):

@@ -179,12 +179,13 @@ class TestInvariantsCommand:
         assert json.loads(out)["torsion_warning"] is True
 
     def test_threads_flag_gives_same_numbers(self, capsys, force_pool):
-        # the report is the same whether its sweep runs here or on a pool
+        # the report is the same whether its sweep runs here or on a pool;
+        # the 3x4 plan has enough distinct cores for two workers
         betti.clear_table_cache()
-        _, one, _ = run_cli(capsys, "invariants", "--m", "3", "--n", "3")
+        _, one, _ = run_cli(capsys, "invariants", "--m", "3", "--n", "4")
         betti.clear_table_cache()
         started = force_pool()
-        _, two, _ = run_cli(capsys, "invariants", "--m", "3", "--n", "3")
+        _, two, _ = run_cli(capsys, "invariants", "--m", "3", "--n", "4")
         betti.clear_table_cache()
         a, b = json.loads(one), json.loads(two)
         a.pop("wall_ms"), b.pop("wall_ms")

@@ -425,24 +425,27 @@ def test_sphere_rule_matches_the_kernel(facets):
         assert {k: v for k, v in found.items() if v} == {d: 1}
 
 
-def _closed_form_jobs(ideal, route):
-    """(lattice point, its plan input, the closed form's d or None, the
-    job's complex as faces or facets) for every point of the route's
-    lattice, found without the plan: the lattice by pairwise joins of
-    tuples, a point's generators by comparing exponents."""
+def _lattice_jobs(ideal, route):
+    """(lattice point, the masks of the variables where each generator that
+    divides it reaches its exponent, the job's complex as faces or facets)
+    for every point of the route's lattice, found without the plan: the
+    lattice by pairwise joins of tuples, a point's generators by comparing
+    exponents."""
     out = []
     for b in oracles.tuple_join_closure([g.exponents for g in ideal.gens]):
         divisors = [g.exponents for g in ideal.gens if all(map(operator.le, g.exponents, b))]
         if route == "koszul":
+            # every variable where g reaches b, those outside b's support too
+            tight = [_mask_of([i for i in range(len(b)) if g[i] == b[i]]) for g in divisors]
             # the upper Koszul complex at b: a facet {i : b_i > g_i} per g | b
             facets = [_mask_of([i for i in range(len(b)) if b[i] > g[i]]) for g in divisors]
-            out.append((b, len(divisors), betti._lattice_sphere(len(divisors)), facets))
+            out.append((b, tight, facets))
             continue
         # the restriction to sigma: its subsets that hold no generator support
         sigma = _mask_of([i for i in range(len(b)) if b[i]])
-        inside = sorted(_mask_of([i for i in range(len(g)) if g[i]]) for g in divisors)
-        faces = [s for s in range(sigma + 1) if s & sigma == s and not any(g & s == g for g in inside)]
-        out.append((b, (sigma, inside), betti._restriction_sphere(sigma, inside), faces))
+        tight = [_mask_of([i for i in range(len(g)) if g[i]]) for g in divisors]  # the supports
+        faces = [s for s in range(sigma + 1) if s & sigma == s and not any(g & s == g for g in tight)]
+        out.append((b, tight, faces))
     return out
 
 
@@ -459,36 +462,54 @@ def support_ideals(draw):
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(support_ideals(), ideals(max_vars=4, max_gens=5, max_exp=3)))
 @example(min_gens([Monomial(VariableSet.generic(5), e) for e in [(1, 1, 1, 0, 0), (0, 0, 1, 1, 1)]], VariableSet.generic(5)))
-@example(min_gens([Monomial(VariableSet.generic(4), e) for e in [(1, 1, 1, 0), (0, 1, 1, 1)]], VariableSet.generic(4)))
-def test_closed_form_spheres_match_the_strong_core(ideal):
-    # every job a plan reads off its generators gets the d, and so the
-    # (i, degree), that its strong core and the sphere test give; and the
-    # plan asks about every lattice point, with the generators it holds.
-    # The examples: two supports with two vertices each outside the other
-    # (left to the strong core), and with one (read off)
+@example(min_gens([Monomial.from_support(VariableSet.generic(9), s) for s in [(0, 1, 3), (1, 6, 8)]], VariableSet.generic(9)))
+@example(min_gens([Monomial.from_support(VariableSet.generic(3), s) for s in [(0, 1), (1, 2), (0, 2)]], VariableSet.generic(3)))
+def test_lone_lcm_jobs_match_the_kernel(ideal):
+    # every lattice point that the rule takes (the lcm of exactly one subset
+    # of the generators dividing it, all r of them) has the one reduced Betti
+    # number, over both fields, that puts 1 at (r - 1, degree); and with no
+    # strong core read off as a sphere, the plan's closed-form entries are
+    # exactly those, from asking the rule about every lattice point with the
+    # generators it holds. The examples: two supports that share a vertex,
+    # on 5 and on 9 variables (on 9 the top restriction, a 2-sphere, has a
+    # strong core that is not a join of simplex boundaries), and a
+    # triangle, whose top point is the lcm of every two of its generators
     from unittest import mock
+
+    from rookideal.homology import betti_of_face_masks, faces_by_dim_masks
 
     if ideal.is_zero or ideal.is_unit:
         return
-    routes = {"koszul": ("_lattice_sphere", betti._koszul_plan)}
+    routes = {"koszul": betti._koszul_plan}
     if ideal.is_squarefree:
-        routes["hochster"] = ("_restriction_sphere", betti._hochster_plan)
-    for route, (rule, plan) in routes.items():
-        jobs = _closed_form_jobs(ideal, route)
-        for b, _, d, complex_ in jobs:
-            if d is not None:
-                core = betti._strong_core(complex_)
-                assert core is not None and betti._sphere_dimension(core) == d, (route, b)
-        asked = []
-        real = getattr(betti, rule)
+        routes["hochster"] = betti._hochster_plan
+    for route, plan in routes.items():
+        expected, asked = {}, []
+        for b, tight, complex_ in _lattice_jobs(ideal, route):
+            taken = betti._lone_lcm(tight, len(b))
+            asked.append((sorted(map(int.bit_count, tight)), taken))
+            if not taken:
+                continue
+            r = len(tight)
+            # H~_d counts at |sigma| - d - 2 (Hochster) or d + 1 (Koszul)
+            d = sum(b) - r - 1 if route == "hochster" else r - 2
+            for field in (DEFAULT_FIELD, GF2):
+                found = betti_of_face_masks(faces_by_dim_masks(complex_), field)
+                assert {e: v for e, v in found.items() if v} == {d: 1}, (route, b, field)
+            expected[(r - 1, sum(b))] = expected.get((r - 1, sum(b)), 0) + 1
+        recorded = []
+        real = betti._lone_lcm
 
-        def recorded(*args):
-            asked.append(args[0] if route == "koszul" else (args[0], sorted(args[1])))
-            return real(*args)
+        def recording(tight, count):
+            recorded.append((sorted(map(int.bit_count, tight)), real(tight, count)))
+            return recorded[-1][1]
 
-        with mock.patch.object(betti, rule, recorded):
-            plan(ideal, None)
-        assert sorted(asked) == sorted(asked_of for _, asked_of, _, _ in jobs)
+        with mock.patch.object(betti, "_lone_lcm", recording), mock.patch.object(
+            betti, "_sphere_dimension", lambda facets: None
+        ):
+            spheres = plan(ideal, None).spheres
+        assert sorted(recorded) == sorted(asked)
+        assert spheres == expected
 
 
 @st.composite
