@@ -33,24 +33,28 @@ The symmetry check tests only the permutations that Dimino's method takes as
 generators. On the lattice route a point's degree is read off its bit
 planes (bit j of every field), and a facet's variable mask off the guard
 bits of b - g. Before any facet is built, a job is read off the r generators
-it holds (those inside sigma, or those dividing b; b is their lcm) when b is
-the lcm of no other subset of them: when each of them reaches b's exponent
-at some variable where no other one does. The Taylor complex (Taylor 1966)
-is a free resolution with one basis element per subset of the generators,
-in the multidegree of the subset's lcm, so beta_{i,b} is at most the number
-of (i+1)-subsets with lcm b, and in multidegree b the alternating sums of
-the two resolutions agree; with one such subset, beta_{r-1,b} = 1 and every
-other beta_{i,b} is 0 (Miller and Sturmfels 2005, 4.3 and Ch. 5). The job
-adds (r - 1, degree) in closed form. Every other complex is cut to its
-strong core: dominated vertices (another vertex lies in every facet through
-them) are deleted one at a time, which keeps the homotopy type and so the
-reduced homology over every field, and a job whose core is a point is
-dropped. The jobs are then grouped by core, with the (degree, orbit size)
-of each job that has it. On the restriction route a core K is an induced
-subcomplex (a strong collapse only deletes vertices), so its minimal
-non-faces are the generator supports inside its vertex set V, and its
-Alexander dual on V takes one pass over the generators. H~_e of the dual is
-H~_{|V|-e-3} of K over every field (combinatorial Alexander duality,
+it holds (those inside sigma, or those dividing b; b is their lcm) when the
+subsets of them with lcm b are exactly those that hold one set M.
+beta_{i,b} is the reduced homology in dimension i - 1 of the complex of
+the subsets whose lcm is not b (from the Taylor resolution, Taylor 1966;
+Gasharov, Peeva and Welker 1999), which is then {S : S does not hold M}.
+When M holds all r, that is the boundary of a simplex, so beta_{r-1,b} = 1
+and every other beta_{i,b} is 0, and the job adds (r - 1, degree) in closed
+form. Otherwise it is a cone over any generator outside M, so every
+beta_{i,b} is 0 over every field, and the job is dropped. M is the set of
+generators that reach b's exponent at some variable where no other one
+does: every subset with lcm b holds M, and M has lcm b when every variable
+that some generator reaches is reached by one in M (see _lone_lcm, which
+tries this only when r is at most the number of variables). Every other
+complex is cut to its strong core: dominated vertices (another vertex lies
+in every facet through them) are deleted one at a time, which keeps the
+homotopy type and so the reduced homology over every field, and a job
+whose core is a point is dropped. The jobs are then grouped by core, with
+the (degree, orbit size) of each job that has it. On the restriction route
+a core K is an induced subcomplex (a strong collapse only deletes vertices),
+so its minimal non-faces are the generator supports inside its vertex set V,
+and its Alexander dual on V takes one pass over the generators. H~_e of the
+dual is H~_{|V|-e-3} of K over every field (combinatorial Alexander duality,
 Bjoerner and Tancer 2009), so K is dropped when the dual's strong core is a
 point, and that core is swept in K's place when it has fewer subsets (sum
 2^|facet|). The lattice route keeps its cores, so the two routes stay
@@ -315,13 +319,20 @@ def _image_tables(perms, width: int, offsets: list[int]):
     into one int, lane k holding the image under perms[k] (see _pack_lanes);
     images(x) ORs one such int per nonzero chunk of x and unpacks once. When
     the point's width is not a multiple of 4, the top chunk is shorter and
-    has fewer values, but it is still there."""
+    has fewer values, but it is still there.
+
+    The images of bit 0 of variable i's field are packed once, from the
+    column of i in ``perms``; those of bit j are that int shifted left by j,
+    since a lane's value stays below 2^bits and the shift keeps it in its
+    lane."""
     bits = width * len(offsets)
     size = _lane_bytes(bits)
+    units = [1 << at for at in offsets]  # bit 0 of each field
     moved = [0] * bits  # bit -> its images under every permutation, in lanes
-    for i, at in enumerate(offsets):
+    for at, column in zip(offsets, zip(*perms)):
+        lanes = _pack_lanes(map(units.__getitem__, column), size)
         for j in range(width):
-            moved[at + j] = _pack_lanes([1 << (offsets[perm[i]] + j) for perm in perms], size)
+            moved[at + j] = lanes << j
     tables = []
     for low in range(0, bits, 4):
         table = [0]
@@ -571,22 +582,42 @@ def _sphere_dimension(facets) -> int | None:
     return vertices.bit_count() - len(parts) - 1
 
 
-def _lone_lcm(tight, count: int) -> bool:
-    """Whether a lattice point b is the lcm of exactly one subset of the r
-    generators that divide it (then beta_{r-1,b} = 1 is its only Betti
-    number; see the module docstring). ``tight`` holds one mask per divisor,
-    with one bit for each variable where it reaches b's exponent (the same
-    bit for a variable in every mask), and ``count`` is the number of
-    variables. The subset is all r divisors, and it is the only one when no
-    divisor can be dropped: when each has a variable where no other reaches
-    b, so only when r <= count."""
+def _lone_lcm(tight, count: int) -> int | None:
+    """beta_{r-1,b} when the Taylor rule (see the module docstring) decides
+    every Betti number of the lattice point b from the r generators that
+    divide it, else None. ``tight`` holds one mask per divisor, with one bit
+    for each variable where it reaches b's exponent (the same bit for a
+    variable in every mask), and ``count`` is the number of variables.
+
+    A subset has lcm b exactly when, at every variable, it holds a divisor
+    that reaches b there. So it holds every divisor in M, those that reach b
+    at some variable where no other one does (``twice`` gathers the
+    variables two divisors reach). When the masks of M cover every variable
+    that some divisor reaches (``covered == seen``), M has lcm b, and the
+    subsets with lcm b are those that hold M: 1 is returned when M holds all
+    r divisors (a sphere) and 0 when it does not (a cone).
+
+    With r > count, None is returned at once: M cannot hold all r then, and
+    the pass would find few zeros (31 of the 741 such points of a seed-1
+    lattice-powers pass, none on squarefree-boards). Without this guard, the
+    pass at every lattice point of the board powers (r reaches 120 on 6
+    variables) made the lattice-powers workload's solve_s 5% slower
+    (power-2x3-t4 17.9 -> 19.5 ms); with it, that workload did not change
+    (0.994 of the time without the zero rule)."""
     if len(tight) > count:
-        return False
+        return None
     seen = twice = 0
     for t in tight:
         twice |= seen & t
         seen |= t
-    return all(t & ~twice for t in tight)
+    covered = private = 0
+    for t in tight:
+        if t & ~twice:
+            covered |= t
+            private += 1
+    if covered != seen:
+        return None
+    return 1 if private == len(tight) else 0
 
 
 def _place(out: dict, route: str, placement, e: int, v: int) -> None:
@@ -695,11 +726,12 @@ def _hochster_plan(ideal: MonomialIdeal, symmetries, primes=None) -> _SweepPlan:
             degree = sigma.bit_count()
             # a support reaches sigma's exponent, 1, at each of its vertices
             inside = [g for g in gens if g & sigma == g]
-            if _lone_lcm(inside, count):
+            beta = _lone_lcm(inside, count)
+            if beta is None:
+                yield {f & sigma for f in delta_facets}, degree, weight
+            elif beta:
                 key = (len(inside) - 1, degree)
                 spheres[key] = spheres.get(key, 0) + weight
-            else:
-                yield {f & sigma for f in delta_facets}, degree, weight
 
     return _gather("hochster", jobs(), spheres, gens)
 
@@ -729,9 +761,11 @@ def _koszul_plan(ideal: MonomialIdeal, symmetries) -> _SweepPlan:
         # 2^(w-1), has its guard bit set exactly when g_i = b_i
         tight = [(lift + g) & guards for g in gens if (bg - g) & guards == guards]
         degree = sum((b & plane).bit_count() << j for j, plane in enumerate(planes))
-        if _lone_lcm(tight, count):
-            key = (len(tight) - 1, degree)
-            spheres[key] = spheres.get(key, 0) + weight
+        beta = _lone_lcm(tight, count)
+        if beta is not None:
+            if beta:
+                key = (len(tight) - 1, degree)
+                spheres[key] = spheres.get(key, 0) + weight
             continue
         facets = []
         # the upper Koszul complex at b has a facet {i : b_i > g_i} for each g | b
@@ -1007,7 +1041,8 @@ def invariant_report(
         raise ValueError("declared ambient is smaller than the support")
     start = time.perf_counter()
     route = "hochster" if ideal.is_squarefree else "koszul"
-    primes = ideal.radical().minimal_primes()
+    # a squarefree ideal is its own radical
+    primes = (ideal if route == "hochster" else ideal.radical()).minimal_primes()
     fields = [field]
     if cross_check:
         fields.append(GF2 if field.characteristic != 2 else DEFAULT_FIELD)

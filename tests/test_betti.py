@@ -1,8 +1,12 @@
+import collections
 import functools
 import hashlib
+import importlib.util
 import itertools
 import operator
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -306,9 +310,13 @@ class TestInvariantReport:
         assert betti_table(ideal, DEFAULT_FIELD).pd() == 2
         assert betti_table(ideal, GF2).pd() == 3
 
-    def test_power_report_uses_radical_primes(self):
+    def test_power_report_uses_radical_primes(self, monkeypatch):
+        radicals = []
+        radical = MonomialIdeal.radical
+        monkeypatch.setattr(MonomialIdeal, "radical", lambda ideal: radicals.append(ideal) or radical(ideal))
         report = invariant_report(facet_ideal(Board(2, 3)) ** 2)
         assert (report.height, report.dim, report.bight) == (3, 3, 4)
+        assert len(radicals) == 1
 
     @pytest.mark.parametrize("m, n, t, a", [(1, 3, 2, 1), (2, 2, 3, 4), (2, 3, 4, 6), (2, 4, 3, 4)])
     def test_power_a_invariant_matches_polarization(self, m, n, t, a):
@@ -386,12 +394,14 @@ class TestSweepPlan:
         assert sum(_counts(built).values()) == 1
 
     def test_cross_checked_report_is_one_pass(self, built, monkeypatch):
-        # one cover search, and each distinct core's faces built once and
+        # one cover search on the ideal itself, which is squarefree and so
+        # its own radical, and each distinct core's faces built once and
         # reduced once at each of the two primes
         from rookideal import betti, complexes
         from rookideal.homology import betti_of_face_masks, faces_by_dim_masks
 
         calls = {"covers": 0, "faces": [], "reduce": []}
+        monkeypatch.setattr(MonomialIdeal, "radical", lambda ideal: pytest.fail("radical of a squarefree ideal"))
         covers = complexes.minimal_vertex_covers
 
         def counted_covers(cx):
@@ -834,6 +844,41 @@ class TestClosedFormSpheres:
             rows.append((sorted(plan.spheres.items()), plan.cores))
         assert hashlib.sha256(repr(rows).encode()).hexdigest()[:16] == "937411bc8c3d63ce"
 
+    def test_random_ideals_workload_counts(self, monkeypatch):
+        # both plans of every ideal of the benchmark's random-ideals workload
+        # at seed 1: on each route the rule reads off 1,702 spheres and 238
+        # cones and leaves 223 jobs; _strong_core runs 604 times (1,093 when
+        # the rule read off spheres only) and the sphere test 320 times
+        from rookideal import betti
+
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        )
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look their module up
+        spec.loader.exec_module(workloads)
+        answers, calls = collections.Counter(), collections.Counter()
+        route = None
+        for name in ("_lone_lcm", "_strong_core", "_sphere_dimension"):
+
+            def counted(*args, name=name, real=getattr(betti, name)):
+                out = real(*args)
+                calls[name] += 1
+                if name == "_lone_lcm":
+                    answers[route, out] += 1
+                return out
+
+            monkeypatch.setattr(betti, name, counted)
+        for case in workloads.random_ideals(1):
+            for route in ("hochster", "koszul"):
+                betti._sweep_plan(route, case.ideal, None)
+        assert answers == {
+            (route, beta): count
+            for route in ("hochster", "koszul")
+            for beta, count in ((1, 1702), (0, 238), (None, 223))
+        }
+        assert calls["_strong_core"] == 604 and calls["_sphere_dimension"] == 320
+
 
 class TestStrongCore:
     """Plan jobs hold the strong core of their complex (dominated vertices
@@ -939,7 +984,7 @@ class TestStrongCore:
                     with monkeypatch.context() as patched:
                         patched.setattr(betti, "_strong_core", lambda facets: tuple(sorted(set(facets))))
                         patched.setattr(betti, "_sphere_dimension", lambda facets: None)
-                        patched.setattr(betti, "_lone_lcm", lambda tight, count: False)
+                        patched.setattr(betti, "_lone_lcm", lambda tight, count: None)
                         betti.clear_table_cache()
                         full = route(ideal, field)
                         full_plan = plans[-1]
@@ -1076,7 +1121,9 @@ class TestSphereCores:
         assert len(jobs) > len(distinct) > 1
         assert len(taken) > len(set(taken))  # two cores take the same complex
         assert sorted(tested) == sorted(set(taken))
-        assert len(jobs) + sum(read_off) == len(read_off) and any(read_off)
+        # None: the rule leaves the job; 1 and 0: it reads it off
+        decided = [beta for beta in read_off if beta is not None]
+        assert len(jobs) + len(decided) == len(read_off) and set(decided) == {0, 1}
 
     def test_one_sweep_reduces_each_distinct_core_once_per_prime(self, monkeypatch):
         from rookideal import betti
@@ -1179,10 +1226,10 @@ class TestKoszulJobs:
     @pytest.mark.parametrize("width", [2, 3, 4, 5])
     def test_degrees_and_facets_match_the_exponents(self, monkeypatch, width):
         # every lattice point's job with the closed form switched off; with
-        # it, a point where each of the r generators dividing it reaches its
-        # exponent at a variable where no other one does adds the entry
-        # (r - 1, degree) and builds no facets, and the others are the same
-        # jobs as before
+        # it, a point b whose r <= 4 divisors have, among their subsets with
+        # lcm b, exactly the supersets of one set M builds no facets, and
+        # adds the entry (r - 1, degree) when M holds all r, and nothing
+        # when it does not (a cone); the others are the same jobs as before
         from rookideal import betti
 
         rng = random.Random(width)
@@ -1191,12 +1238,14 @@ class TestKoszulJobs:
         gathered = []
         monkeypatch.setattr(betti, "_gather", lambda route, found, spheres: gathered.append((found, spheres)))
         lone_lcm = betti._lone_lcm
-        read_off = kept = 0
+        read_off = kept = zeros = 0
         draws = [
             [(0, *(rng.randint(0, top) for _ in range(3))) for _ in range(rng.randint(1, 4))] for _ in range(6)
         ]
-        # and a triangle on variables 1-3, whose top point the rule leaves
+        # and a triangle on variables 1-3, whose top point the rule leaves,
+        # and x1^top, x1 x2, x2^top, whose top point is a cone from width 3
         draws.append([(0, top, top, 0), (0, 0, top, top), (0, top, 0, top)])
+        draws.append([(0, top, 0, 0), (0, 1, 1, 0), (0, 0, top, 0)])
         for drawn in draws:
             # (top, 0, 0, 0) and vectors that avoid variable 0: an antichain
             # whose largest exponent is top
@@ -1207,20 +1256,35 @@ class TestKoszulJobs:
             lattice = oracles.tuple_join_closure(vectors)
             divisors = {b: [g for g in vectors if all(map(operator.le, g, b))] for b in lattice}
 
-            def lone(b):
-                reaches = [{i for i in range(4) if g[i] == b[i]} for g in divisors[b]]
-                return all(own - set().union(*reaches[:k], *reaches[k + 1 :]) for k, own in enumerate(reaches))
+            def beta(b):
+                # beta_{r-1,b} read off the subsets of b's divisors with lcm
+                # b, or None when they are not the supersets of one set
+                gens = divisors[b]
+                if len(gens) > 4:
+                    return None
+                hits = [
+                    set(subset)
+                    for k in range(1, len(gens) + 1)
+                    for subset in itertools.combinations(range(len(gens)), k)
+                    if tuple(max(gens[j][i] for j in subset) for i in range(4)) == b
+                ]
+                least = min(hits, key=len)
+                if not all(least <= hit for hit in hits):
+                    return None
+                return int(len(least) == len(gens))
 
             spheres = {}
-            for b in filter(lone, lattice):
-                key = (len(divisors[b]) - 1, sum(b))
-                spheres[key] = spheres.get(key, 0) + 1
+            for b in lattice:
+                if beta(b):
+                    key = (len(divisors[b]) - 1, sum(b))
+                    spheres[key] = spheres.get(key, 0) + 1
+            zeros += sum(beta(b) == 0 for b in lattice)
             for closed in (False, True):
-                monkeypatch.setattr(betti, "_lone_lcm", lone_lcm if closed else lambda tight, count: False)
+                monkeypatch.setattr(betti, "_lone_lcm", lone_lcm if closed else lambda tight, count: None)
                 gathered.clear()
                 betti._koszul_plan(ideal, None)
                 ((jobs, entries),) = gathered
-                points = [b for b in lattice if not closed or not lone(b)]
+                points = [b for b in lattice if not closed or beta(b) is None]
                 assert entries == (spheres if closed else {})
                 assert [degree for _, degree, _ in jobs] == [sum(b) for b in points]
                 for (facets, _, weight), b in zip(jobs, points):
@@ -1228,7 +1292,7 @@ class TestKoszulJobs:
                     assert sorted(facets) == sorted(expected) and weight == 1
             read_off += len(lattice) - len(jobs)
             kept += len(jobs)
-        assert read_off and kept
+        assert read_off > zeros and kept and (zeros or width == 2)
 
 
 class TestDualCores:
@@ -1255,16 +1319,18 @@ class TestDualCores:
                 assert shifted == self.reduced(core, field)
 
     def test_core_with_a_contractible_dual_is_dropped(self, monkeypatch):
-        # a ten-triangle complex on vertices 0-7 with no dominated vertex,
-        # acyclic, whose dual collapses to a point
+        # the top restriction of four triangles on six vertices: the rule
+        # leaves its job, and its core, six triangles with no dominated
+        # vertex, is acyclic and has a dual that collapses to a point
         from rookideal import betti
 
-        ambient = VariableSet.generic(9)
-        supports = [0b1001, 0b100000001, 0b10110, 0b10001010, 0b10110000, 0b1010101]
+        ambient = VariableSet.generic(6)
+        supports = [0b10101, 0b101001, 0b110001, 0b11100]
         ideal = min_gens([Monomial.from_support(ambient, _indices(s)) for s in supports], ambient)
+        assert betti._lone_lcm(supports, 6) is None
         duals = _duals_taken(monkeypatch)
         plan = betti._hochster_plan(ideal, None)
-        acyclic = (46, 51, 53, 58, 60, 147, 149, 156, 167, 172)
+        acyclic = (13, 25, 37, 44, 52, 56)
         assert betti._strong_core(acyclic) == acyclic
         assert acyclic in duals and duals[acyclic] is None
         assert acyclic not in [core for core, _ in plan.cores]

@@ -464,16 +464,23 @@ def support_ideals(draw):
 @example(min_gens([Monomial(VariableSet.generic(5), e) for e in [(1, 1, 1, 0, 0), (0, 0, 1, 1, 1)]], VariableSet.generic(5)))
 @example(min_gens([Monomial.from_support(VariableSet.generic(9), s) for s in [(0, 1, 3), (1, 6, 8)]], VariableSet.generic(9)))
 @example(min_gens([Monomial.from_support(VariableSet.generic(3), s) for s in [(0, 1), (1, 2), (0, 2)]], VariableSet.generic(3)))
+@example(min_gens([Monomial.from_support(VariableSet.generic(4), s) for s in [(0, 1), (1, 2), (2, 3)]], VariableSet.generic(4)))
+@example(min_gens([Monomial(VariableSet.generic(2), e) for e in [(2, 0), (1, 1), (0, 2)]], VariableSet.generic(2)))
 def test_lone_lcm_jobs_match_the_kernel(ideal):
-    # every lattice point that the rule takes (the lcm of exactly one subset
-    # of the generators dividing it, all r of them) has the one reduced Betti
-    # number, over both fields, that puts 1 at (r - 1, degree); and with no
-    # strong core read off as a sphere, the plan's closed-form entries are
-    # exactly those, from asking the rule about every lattice point with the
-    # generators it holds. The examples: two supports that share a vertex,
+    # every lattice point that the rule decides has the reduced homology,
+    # over both fields, that it reads off: one Betti number, 1 at
+    # (r - 1, degree), when it returns 1 (a sphere: b is the lcm of all r
+    # of its divisors and of no other subset), and none when it returns 0
+    # (a cone: the subsets with lcm b are the supersets of a smaller set).
+    # With no strong core read off as a sphere, the plan's closed-form
+    # entries are exactly the spheres, from asking the rule about every
+    # lattice point with the generators it holds, and only the points it
+    # leaves become jobs. The examples: two supports that share a vertex,
     # on 5 and on 9 variables (on 9 the top restriction, a 2-sphere, has a
-    # strong core that is not a join of simplex boundaries), and a
-    # triangle, whose top point is the lcm of every two of its generators
+    # strong core that is not a join of simplex boundaries); a triangle,
+    # whose top point is the lcm of every two of its generators, so the
+    # rule leaves it; and two cones, the top points of the path x0x1, x1x2,
+    # x2x3 and of x0^2, x0x1, x1^2, which the lcm of the two ends reaches
     from unittest import mock
 
     from rookideal.homology import betti_of_face_masks, faces_by_dim_masks
@@ -488,28 +495,34 @@ def test_lone_lcm_jobs_match_the_kernel(ideal):
         for b, tight, complex_ in _lattice_jobs(ideal, route):
             taken = betti._lone_lcm(tight, len(b))
             asked.append((sorted(map(int.bit_count, tight)), taken))
-            if not taken:
+            if taken is None:
                 continue
             r = len(tight)
             # H~_d counts at |sigma| - d - 2 (Hochster) or d + 1 (Koszul)
             d = sum(b) - r - 1 if route == "hochster" else r - 2
             for field in (DEFAULT_FIELD, GF2):
                 found = betti_of_face_masks(faces_by_dim_masks(complex_), field)
-                assert {e: v for e, v in found.items() if v} == {d: 1}, (route, b, field)
-            expected[(r - 1, sum(b))] = expected.get((r - 1, sum(b)), 0) + 1
-        recorded = []
-        real = betti._lone_lcm
+                assert {e: v for e, v in found.items() if v} == ({d: 1} if taken else {}), (route, b, field)
+            if taken:
+                expected[(r - 1, sum(b))] = expected.get((r - 1, sum(b)), 0) + 1
+        recorded, jobs = [], []
+        real, gather = betti._lone_lcm, betti._gather
 
         def recording(tight, count):
             recorded.append((sorted(map(int.bit_count, tight)), real(tight, count)))
             return recorded[-1][1]
 
+        def gathering(route, found, *rest):
+            jobs.extend(found)
+            return gather(route, jobs, *rest)
+
         with mock.patch.object(betti, "_lone_lcm", recording), mock.patch.object(
             betti, "_sphere_dimension", lambda facets: None
-        ):
+        ), mock.patch.object(betti, "_gather", gathering):
             spheres = plan(ideal, None).spheres
-        assert sorted(recorded) == sorted(asked)
+        assert sorted(recorded, key=repr) == sorted(asked, key=repr)
         assert spheres == expected
+        assert len(jobs) == sum(taken is None for _, taken in asked)
 
 
 @st.composite

@@ -180,3 +180,15 @@ def test_table_digest_full():
         "tables",
         "1290",
     ]
+
+
+def test_bench_inprocess_one_round():
+    # one round of random-ideals against the committed tree: every case of
+    # both sides passes its check, and the per-case and summary lines print
+    proc = run_script("bench_inprocess.py", "--base", "HEAD", "--workload", "random-ideals", "--rounds", "1")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "random-ideals: case, parent ms, change ms, ratio"
+    assert len(lines) == 1 + 120 + 2 and lines[1].startswith("  random-000 ")
+    assert lines[-2].startswith("random-ideals solve ms ") and " ratio " in lines[-2]
+    assert lines[-1].startswith("random-ideals median case ms ") and " ratio " in lines[-1]
