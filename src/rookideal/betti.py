@@ -96,8 +96,15 @@ from array import array
 from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple
 
-from .homology import DEFAULT_FIELD, GF2, FieldSpec, betti_of_face_masks, faces_by_dim_masks
-from .monomials import MonomialIdeal, _mask_of, min_gens
+from .homology import (
+    DEFAULT_FIELD,
+    GF2,
+    FieldSpec,
+    _subsets,
+    betti_of_face_masks,
+    faces_by_dim_masks,
+)
+from .monomials import MonomialIdeal, _bits, _mask_of, _maximal_masks, min_gens
 
 _TABLE_CACHE: dict[tuple, "BettiTable"] = {}
 
@@ -502,13 +509,7 @@ def _strong_core(facets) -> tuple[int, ...] | None:
     through v, so only the vertices that shared a facet with v are checked
     again. A point is contractible, so all its reduced Betti numbers are 0;
     the irrelevant complex (0,) has no vertex and is its own core."""
-    core: list[int] = []
-    for f in sorted(set(facets), key=int.bit_count, reverse=True):
-        for g in core:
-            if f & g == f:
-                break
-        else:
-            core.append(f)
+    core = _maximal_masks(facets)
     todo = functools.reduce(operator.or_, core, 0)
     while todo and len(core) > 1:
         bit = todo & -todo
@@ -635,15 +636,6 @@ def _place(out: dict, route: str, placement, e: int, v: int) -> None:
         out[(i, degree)] = out.get((i, degree), 0) + v * weight
 
 
-def _subsets(facets) -> int:
-    """sum 2^|facet|, counting each face once per facet that holds it: the
-    measure of a core's cost (see _POOL_MIN_SUBSETS). It bounds the cost
-    whatever the core's vertex count n, since the face layer holds a core
-    as bitmaps of 2^n bits only while 2^n is within a small factor of it
-    (rookideal.homology._BITMAP_FACTOR)."""
-    return sum(1 << f.bit_count() for f in facets)
-
-
 def _dual_core(core, supports) -> tuple[int, ...] | None:
     """The strong core of the Alexander dual, on the core's vertex set V, of
     a restriction core (see _strong_core for None). A strong collapse only
@@ -747,9 +739,9 @@ def _koszul_plan(ideal: MonomialIdeal, symmetries) -> _SweepPlan:
     images = _symmetry_images(gens, symmetries, width, offsets)
     # bit plane j: bit j of every field, so b's degree is sum 2^j |b & plane j|
     planes = [ones << j for j in range(width - 1)]
-    # the guard bit of variable i's field -> bit i, and the guard bits of the
+    # the guard bit of variable i's field -> i, and the guard bits of the
     # fields where g reaches b -> the mask of the other variables
-    variable_bit = {1 << (at + width - 1): 1 << i for i, at in enumerate(offsets)}
+    variable = {at + width - 1: i for i, at in enumerate(offsets)}
     masks: dict[int, int] = {}
     jobs = []
     spheres: dict[tuple[int, int], int] = {}
@@ -772,12 +764,7 @@ def _koszul_plan(ideal: MonomialIdeal, symmetries) -> _SweepPlan:
         for t in set(tight):
             mask = masks.get(t)
             if mask is None:
-                mask, rest = 0, guards ^ t
-                while rest:
-                    guard = rest & -rest
-                    rest ^= guard
-                    mask |= variable_bit[guard]
-                masks[t] = mask
+                mask = masks[t] = _mask_of(variable[guard] for guard in _bits(guards ^ t))
             facets.append(mask)
         jobs.append((facets, degree, weight))
     return _gather("koszul", jobs, spheres)

@@ -46,13 +46,21 @@ class Board:
         return (i - 1) * self.n + (j - 1)
 
 
-def chessboard_complex(board: Board) -> SimplicialComplex:
-    """Facets are all placements of one rook per row in pairwise distinct columns."""
+def _placements(board: Board, columns, rows, keep=None) -> SimplicialComplex:
+    """The complex, on the board's cells, whose facets are the placements of
+    one rook in each of ``rows`` in pairwise distinct ``columns`` (1-based),
+    the rook of rows[k] in column cols[k], kept where keep(cols) holds."""
     facets = [
-        [board.cell(i + 1, col + 1) for i, col in enumerate(cols)]
-        for cols in itertools.permutations(range(board.n), board.m)
+        [board.cell(i, j) for i, j in zip(rows, cols)]
+        for cols in itertools.permutations(columns, len(rows))
+        if keep is None or keep(cols)
     ]
     return SimplicialComplex.from_facets(board.vars, facets)
+
+
+def chessboard_complex(board: Board) -> SimplicialComplex:
+    """Facets are all placements of one rook per row in pairwise distinct columns."""
+    return _placements(board, range(1, board.n + 1), range(1, board.m + 1))
 
 
 def facet_ideal(board: Board) -> MonomialIdeal:
@@ -104,11 +112,8 @@ def subcomplex_a(board: Board, i: int) -> SimplicialComplex:
     (void for i = n)."""
     if not 1 <= i <= board.n:
         raise ValueError("column index out of range")
-    facets = []
-    for cols in itertools.permutations(range(1, board.n + 1), board.m):
-        if cols[board.m - 1] > i:
-            facets.append([board.cell(r + 1, c) for r, c in enumerate(cols)])
-    return SimplicialComplex.from_facets(board.vars, facets)
+    columns, rows = range(1, board.n + 1), range(1, board.m + 1)
+    return _placements(board, columns, rows, lambda cols: cols[-1] > i)
 
 
 def subcomplex_b(board: Board, i: int) -> SimplicialComplex:
@@ -116,12 +121,7 @@ def subcomplex_b(board: Board, i: int) -> SimplicialComplex:
     embedded in the original vertex set."""
     if not 1 <= i <= board.n:
         raise ValueError("column index out of range")
-    other_cols = [j for j in range(1, board.n + 1) if j != i]
-    facets = [
-        [board.cell(r + 1, c) for r, c in enumerate(cols)]
-        for cols in itertools.permutations(other_cols, board.m - 1)
-    ]
-    return SimplicialComplex.from_facets(board.vars, facets)
+    return _placements(board, [j for j in range(1, board.n + 1) if j != i], range(1, board.m))
 
 
 def subcomplex_d(board: Board, cols) -> SimplicialComplex:
@@ -132,11 +132,7 @@ def subcomplex_d(board: Board, cols) -> SimplicialComplex:
         raise ValueError("need m strictly increasing column indices")
     if not all(1 <= j <= board.n for j in cols):
         raise ValueError("column index out of range")
-    facets = [
-        [board.cell(r + 1, c) for r, c in enumerate(chosen)]
-        for chosen in itertools.permutations(cols, board.m)
-    ]
-    return SimplicialComplex.from_facets(board.vars, facets)
+    return _placements(board, cols, range(1, board.m + 1))
 
 
 def board_symmetries(board: Board) -> list[tuple[int, ...]]:
@@ -165,10 +161,6 @@ def board_symmetries(board: Board) -> list[tuple[int, ...]]:
 # fixture ideals with known regularity
 
 
-def _two_row_vars(n: int) -> VariableSet:
-    return _board_vars(2, n)
-
-
 def _row_product(vs: VariableSet, n: int, row: int, omit=()) -> Monomial:
     cols = [j for j in range(1, n + 1) if j not in omit]
     return Monomial.from_support(vs, [(row - 1) * n + (j - 1) for j in cols])
@@ -184,7 +176,7 @@ def fixture_ideal(name: str, n: int | None = None) -> MonomialIdeal:
     if name == "L_2n3":
         if n is None or n < 3:
             raise ValueError("L_2n3 needs n >= 3")
-        vs = _two_row_vars(n)
+        vs = _board_vars(2, n)
         gens = [_row_product(vs, n, 1), _row_product(vs, n, 2)]
         for i, j in itertools.combinations(range(1, n + 1), 2):
             gens.append(_row_product(vs, n, 1, (i, j)) * _row_product(vs, n, 2, (i, j)))
@@ -192,7 +184,7 @@ def fixture_ideal(name: str, n: int | None = None) -> MonomialIdeal:
     if name == "L_2n5":
         if n is None or n < 4:
             raise ValueError("L_2n5 needs n >= 4")
-        vs = _two_row_vars(n)
+        vs = _board_vars(2, n)
         gens = []
         for j in range(1, n + 1):
             gens.append(_row_product(vs, n, 1, (j,)))

@@ -28,7 +28,13 @@ from .homology import DEFAULT_FIELD, FieldSpec
 from .monomials import IdealParseError, ideal_from_text
 from .verify import SUITES, run_suite
 
-LONG_GUARD_LIMIT = 1 << 20
+# _guard_units over every board and power that invariants accepts (84
+# inputs), each timed once end to end with --allow-long on one CPU of a
+# shared 2-vCPU host, under a 3 GB address-space limit and a 45 s cap: the
+# 51 inputs priced at most 2^29 all finish in 1.55 s or less (the slowest
+# is 2x5 t=3), and the 33 priced above it each take 4.08 s or more (the
+# fastest is 4x4 t=2; 23 of them, 5x6 and 6x6 among them, pass the cap)
+LONG_GUARD_LIMIT = 1 << 29
 # generators x primes^2 counts the subset tests of Berge's cover search to
 # within a factor of two on every board up to 5x6; this limit lets 5x6
 # (7.8e7, 1.6-1.8 s) run and stops 6x6 (4.5e8, 37 s), timed end to end as
@@ -74,20 +80,29 @@ def cmd_ideal(args) -> int:
     return 0
 
 
+def _refused(args, what: str, predicted: int, limit: int, instead: str = "") -> bool:
+    """Whether a command stops at its resource guard: the predicted cost is
+    above the limit and --allow-long was not given. A refusal says so on
+    stderr; the command then exits 3."""
+    if predicted <= limit or args.allow_long:
+        return False
+    sys.stderr.write(
+        f"predicted {what} cost {predicted} exceeds {limit}; rerun with --allow-long{instead}\n"
+    )
+    return True
+
+
 def cmd_primes(args) -> int:
     board = _checked_board(args)
     labels = board.vars.labels
     formula = minimal_primes_formula(board)
-    if args.method != "formula":
-        # every grown set is tested against the kept sets, once per generator
-        # (one generator per placement of m non-attacking rooks)
-        predicted = math.perm(board.n, board.m) * len(formula) ** 2
-        if predicted > COVER_GUARD_LIMIT and not args.allow_long:
-            sys.stderr.write(
-                f"predicted cover-search cost {predicted} exceeds {COVER_GUARD_LIMIT}; "
-                "rerun with --allow-long or use --method formula\n"
-            )
-            return 3
+    # every grown set is tested against the kept sets, once per generator
+    # (one generator per placement of m non-attacking rooks)
+    predicted = math.perm(board.n, board.m) * len(formula) ** 2
+    if args.method != "formula" and _refused(
+        args, "cover-search", predicted, COVER_GUARD_LIMIT, " or use --method formula"
+    ):
+        return 3
     if args.method == "formula":
         primes = formula
     elif args.method == "brute":
@@ -114,12 +129,7 @@ def _guard_units(support_size: int, power: int) -> int:
 
 def cmd_invariants(args) -> int:
     board = _checked_board(args, power=True)
-    predicted = _guard_units(board.m * board.n, args.power)
-    if predicted > LONG_GUARD_LIMIT and not args.allow_long:
-        sys.stderr.write(
-            f"predicted sweep cost {predicted} exceeds {LONG_GUARD_LIMIT}; "
-            "rerun with --allow-long\n"
-        )
+    if _refused(args, "sweep", _guard_units(board.m * board.n, args.power), LONG_GUARD_LIMIT):
         return 3
     ideal = facet_ideal(board) ** args.power
     report = invariant_report(

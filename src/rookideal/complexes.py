@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .monomials import Monomial, MonomialIdeal, VariableSet, _bits, _mask_of, min_gens
+from .monomials import Monomial, MonomialIdeal, VariableSet, _bits, _mask_of, _maximal_masks, min_gens
 
 
 @dataclass(frozen=True)
@@ -26,14 +26,10 @@ class SimplicialComplex:
     @classmethod
     def from_facets(cls, vertices: VariableSet, sets) -> "SimplicialComplex":
         """Canonicalize: dedupe, drop faces contained in other faces, sort."""
-        masks = set()
-        for s in sets:
-            m = _mask_of(s)
-            if m >> vertices.count:
-                raise ValueError("facet vertex out of range")
-            masks.add(m)
-        maximal = [m for m in masks if not any(m != o and m & o == m for o in masks)]
-        facets = sorted((tuple(_bits(m)) for m in maximal), key=lambda f: (len(f), f))
+        masks = [_mask_of(s) for s in sets]
+        if any(m >> vertices.count for m in masks):
+            raise ValueError("facet vertex out of range")
+        facets = sorted((tuple(_bits(m)) for m in _maximal_masks(masks)), key=lambda f: (len(f), f))
         return cls(vertices, tuple(facets))
 
     @property
@@ -87,16 +83,7 @@ def minimal_vertex_covers(cx: SimplicialComplex) -> tuple[tuple[int, ...], ...]:
     """All minimal vertex covers, canonically sorted."""
     if cx.is_void:
         raise ValueError("the void complex has no facets to cover")
-    covers = []
-    for m in _minimal_transversals(cx.facet_masks()):
-        indices = []
-        while m:
-            low = m & -m
-            indices.append(low.bit_length() - 1)
-            m ^= low
-        covers.append(tuple(indices))
-    covers.sort()
-    return tuple(covers)
+    return tuple(sorted(tuple(_bits(m)) for m in _minimal_transversals(cx.facet_masks())))
 
 
 def induced_matching_bound(

@@ -43,11 +43,15 @@ smaller.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import sys
 from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass
+
+from .monomials import _bits
 
 
 # Miller-Rabin with the first thirteen primes as bases has no strong
@@ -134,18 +138,6 @@ def _members(bitmap: int) -> list[int]:
     return out
 
 
-class _Dimension:
-    """The faces of one dimension, as a caller sees them: their count."""
-
-    __slots__ = ("count",)
-
-    def __init__(self, count: int):
-        self.count = count
-
-    def __len__(self) -> int:
-        return self.count
-
-
 class _Faces(Mapping):
     """The faces of a complex by dimension (popcount - 1; the empty face at
     -1), each dimension sized by its face count: counts[k] is the number of
@@ -154,10 +146,10 @@ class _Faces(Mapping):
 
     __slots__ = ("levels", "counts", "ranks")
 
-    def __getitem__(self, d: int) -> _Dimension:
+    def __getitem__(self, d: int) -> range:
         if not 0 <= d + 1 < len(self.counts):
             raise KeyError(d)
-        return _Dimension(self.counts[d + 1])
+        return range(self.counts[d + 1])
 
     def __iter__(self):
         return iter(range(-1, len(self.counts) - 1))
@@ -178,14 +170,8 @@ class FaceBitmaps(_Faces):
 
     def __init__(self, facet_masks):
         originals = set(facet_masks)
-        support = 0
-        for f in originals:
-            support |= f
-        self.vertices = vertices = []
-        while support:
-            low = support & -support
-            vertices.append(low)
-            support ^= low
+        support = functools.reduce(operator.or_, originals, 0)
+        self.vertices = vertices = [1 << v for v in _bits(support)]
         n = len(vertices)
         facets = set()
         for f in originals:
@@ -343,6 +329,15 @@ class FaceSets(_Faces):
         return ranks
 
 
+def _subsets(facets) -> int:
+    """sum 2^|facet|, counting each face once per facet that holds it: the
+    measure of a complex's cost, which bounds it whatever the vertex count n,
+    since a complex is held as bitmaps of 2^n bits only while 2^n is within
+    _BITMAP_FACTOR of it (see rookideal.betti._POOL_MIN_SUBSETS for its use
+    in the sweeps)."""
+    return sum(1 << f.bit_count() for f in facets)
+
+
 # A bitmap level costs 2^n bits however few of the masks are faces, and each
 # shadow and each peel takes one big-int operation per vertex; a set costs a
 # Python int per face. Face building plus the integer reduction, best of
@@ -365,11 +360,8 @@ def faces_by_dim_masks(facet_masks) -> FaceBitmaps | FaceSets:
     _BITMAP_FACTOR times its sum 2^|facet| subsets, else as sets of masks
     (40 isolated points would need 2^40-bit levels)."""
     facets = set(facet_masks)
-    support = 0
-    for f in facets:
-        support |= f
-    subsets = sum(1 << f.bit_count() for f in facets)
-    if 1 << support.bit_count() <= _BITMAP_FACTOR * subsets:
+    support = functools.reduce(operator.or_, facets, 0)
+    if 1 << support.bit_count() <= _BITMAP_FACTOR * _subsets(facets):
         return FaceBitmaps(facets)
     return FaceSets(facets)
 

@@ -27,6 +27,20 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _maximal_masks(masks) -> list[int]:
+    """The inclusion-maximal masks among ``masks``, once each, largest first:
+    a mask inside another has fewer bits, so it is compared only with the
+    masks already kept."""
+    kept: list[int] = []
+    for f in sorted(set(masks), key=int.bit_count, reverse=True):
+        for g in kept:
+            if f & g == f:
+                break
+        else:
+            kept.append(f)
+    return kept
+
+
 class AmbientMismatch(ValueError):
     """Two objects live over different variable sets."""
 

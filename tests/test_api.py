@@ -124,3 +124,53 @@ def test_public_members_are_scanned():
 def test_a_method_is_used_only_where_called_or_read_through_its_class():
     tree = ast.parse("depth = rep.depth\nt.reg()\nsorted(gens, key=Monomial.sort_key)\nx.lcm")
     assert _names_used(tree, method_of="Monomial") == {"reg", "sort_key"}
+
+
+# The one helper for the set bits of a mask is monomials._bits. These hot
+# loops peel lowest bits by hand, since a generator call per bit was measured
+# slower there (see ROADMAP, "Measured and not worth doing").
+_HAND_ROLLED_BIT_LOOPS = {
+    "monomials._bits",
+    "betti._strong_core",
+    "betti._sphere_dimension",
+    "complexes._minimal_transversals",
+    "homology._members",
+    "homology.FaceSets.__init__",
+    "homology._boundary_column",
+}
+
+
+def _peels_lowest_bits(node: ast.AST) -> bool:
+    """Whether the subtree holds x & -x for a name x."""
+    return any(
+        isinstance(n, ast.BinOp)
+        and isinstance(n.op, ast.BitAnd)
+        and isinstance(n.right, ast.UnaryOp)
+        and isinstance(n.right.op, ast.USub)
+        and isinstance(n.left, ast.Name)
+        and isinstance(n.right.operand, ast.Name)
+        and n.left.id == n.right.operand.id
+        for n in ast.walk(node)
+    )
+
+
+def _lowest_bit_loops(tree: ast.AST, scope: str) -> set[str]:
+    """The qualified names (module.Class.function) of the functions and
+    methods under ``scope`` whose body holds a while loop that peels lowest
+    bits."""
+    found = set()
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found |= _lowest_bit_loops(node, f"{scope}.{node.name}")
+        else:
+            if isinstance(node, ast.While) and _peels_lowest_bits(node):
+                found.add(scope)
+            found |= _lowest_bit_loops(node, scope)
+    return found
+
+
+def test_lowest_bits_are_peeled_by_hand_only_in_the_measured_hot_loops():
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        found |= _lowest_bit_loops(ast.parse(path.read_text(), filename=str(path)), path.stem)
+    assert found == _HAND_ROLLED_BIT_LOOPS

@@ -344,6 +344,21 @@ class TestInvariantReport:
         with pytest.raises(ArithmeticError, match="pole of order 7 .* dim is 6"):
             invariant_report(facet_ideal(Board(3, 3)))
 
+    def test_depth_above_dim_raises(self, monkeypatch):
+        from rookideal import BettiTable, betti
+
+        real = betti.betti_table
+
+        def doctored(ideal, field, *args):
+            # the generators alone: the quotient's pd is 1, so depth 9 - 1 = 8
+            table = real(ideal, field, *args)
+            entries = {(i, j): v for (i, j), v in table.entries.items() if i == 0}
+            return BettiTable(table.subject, table.ambient, field, entries)
+
+        monkeypatch.setattr(betti, "betti_table", doctored)
+        with pytest.raises(ArithmeticError, match="depth 8 exceeds dim 6"):
+            invariant_report(facet_ideal(Board(3, 3)))
+
 
 def _plans_built(monkeypatch) -> dict:
     """Patch the two plan builders to record every plan they build, per route."""

@@ -1,6 +1,8 @@
 import concurrent.futures
+import io
 import json
 import os
+import sys
 
 import pytest
 
@@ -101,9 +103,17 @@ class TestInvariantsCommand:
         assert a == b
 
     def test_guard_trips_without_flag(self, capsys):
-        code, _, err = run_cli(capsys, "invariants", "--m", "2", "--n", "4", "--power", "3")
-        assert code == 3
-        assert "--allow-long" in err
+        # 2x5 t=4 takes about 44 s with --allow-long
+        code, out, err = run_cli(capsys, "invariants", "--m", "2", "--n", "5", "--power", "4")
+        assert code == 3 and out == ""
+        assert err == f"predicted sweep cost 976562500 exceeds {1 << 29}; rerun with --allow-long\n"
+
+    @pytest.mark.parametrize("m, n, power", [(4, 4, 1), (3, 5, 1), (3, 3, 4)])
+    def test_sub_second_inputs_run_without_flag(self, capsys, m, n, power):
+        code, out, err = run_cli(capsys, "invariants", "--m", str(m), "--n", str(n), "--power", str(power))
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert payload["board"] == [m, n] and payload["power"] == power
 
     def test_gf2_char(self, capsys):
         code, out, _ = run_cli(capsys, "invariants", "--m", "2", "--n", "2", "--char", "2")
@@ -250,6 +260,39 @@ class TestBettiCommand:
         betti.clear_table_cache()
         assert code == 0
         assert json.loads(out.strip().splitlines()[-1])["entries"] == [[0, 39, 40], [1, 40, 39]]
+
+    def test_from_stdin(self, capsys, monkeypatch, tmp_path):
+        text = facet_ideal(Board(2, 3)).to_text()
+        path = tmp_path / "ideal.txt"
+        path.write_text(text)
+        _, from_file, _ = run_cli(capsys, "betti", str(path))
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, out, err = run_cli(capsys, "betti", "-")
+        assert code == 0 and err == "" and out == from_file
+
+    @pytest.mark.parametrize("text", ["vars 2\n", "vars 2\n0 0\n1 1\n"])
+    def test_zero_and_unit_ideals_are_usage_errors(self, capsys, tmp_path, text):
+        path = tmp_path / "ideal.txt"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "betti", str(path))
+        assert code == 1 and out == ""
+        assert err == "usage error: the zero and unit ideals have no Betti table here\n"
+
+    def test_route_mismatch_exits_2(self, capsys, monkeypatch, tmp_path):
+        from rookideal import BettiTable, cli
+
+        def doctored(ideal, field):
+            table = betti.betti_table_hochster(ideal, field)
+            entries = dict(table.entries)
+            entries[(0, 1)] = 1
+            return BettiTable(table.subject, table.ambient, field, entries)
+
+        monkeypatch.setattr(cli, "betti_table_hochster", doctored)
+        path = tmp_path / "ideal.txt"
+        path.write_text(facet_ideal(Board(2, 3)).to_text())
+        code, out, err = run_cli(capsys, "betti", str(path))
+        assert code == 2 and out == ""
+        assert err == "route mismatch: lattice and restriction sweeps disagree\n"
 
     def test_parse_error_reports_line(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
