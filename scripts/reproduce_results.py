@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Run the full reproduction catalog and write a JSON report.
 
-The quick suites (paper, properties) finish in seconds; --long adds the long
-suite, four-five: the 4x5 board ideal at 32003 with a GF(2) cross-run, whose
-reg and depth are frozen as computed values, not taken from the paper.
+Both suites (paper, properties) finish in seconds. The paper suite's
+four-five case, the 4x5 board ideal at 32003 with a GF(2) cross-run, has its
+reg and depth frozen as computed values, not taken from the paper.
 """
 
 import argparse
@@ -16,14 +16,12 @@ from rookideal.verify import SUITES, run_suite
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--long", action="store_true", help="include the stretch cases")
     parser.add_argument("--out", default=None, help="write the JSON report here")
     args = parser.parse_args()
 
-    suites = [name for name in SUITES if args.long or name != "long"]
     report = {"suites": {}, "failures": 0}
     start = time.perf_counter()
-    for suite in suites:
+    for suite in SUITES:
         cases = run_suite(suite)
         report["suites"][suite] = [
             {

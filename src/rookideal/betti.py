@@ -72,15 +72,16 @@ reduction runs once, over the integers, and when every pivot it meets is
 ranks, the proof that the core has no torsion, instead of reducing again.
 Only a core that meets another pivot is reduced at each prime. Nothing but
 the finished tables is kept; clear_table_cache() drops them. A
-cross-checked report sweeps once for its two fields, 32003 and GF(2), and finds the minimal
-primes once (their complements are the facets of the squarefree route's
-complex; their sizes give the report's height, dim and bight), by Berge's
-sequential transversal method, handing them to the plan. A report reads the
-Hilbert series, and so the a-invariant, off the quotient table, and checks
-that the pole order of the series is the dim the primes give. A plan big
-enough to pay for a process pool has its distinct cores swept by one process
-per CPU the process may run on (taskset keeps it to one), dealt largest
-first; the reduction is a plain sum, so the result is schedule independent.
+cross-checked report sweeps once for its two fields, 32003 and GF(2), and
+finds the minimal primes once, as masks, by Berge's sequential transversal
+method (their complements are the facets of the squarefree route's complex;
+their bit counts give the report's height, dim and bight), handing the masks
+to the plan. A report reads the Hilbert series, and so the a-invariant, off
+the quotient table, and checks that the pole order of the series is the dim
+the primes give. A plan big enough to pay for a process pool has its
+distinct cores swept by one process per CPU the process may run on (taskset
+keeps it to one), dealt largest first; the reduction is a plain sum, so the
+result is schedule independent.
 """
 
 from __future__ import annotations
@@ -96,6 +97,7 @@ from array import array
 from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple
 
+from . import complexes
 from .homology import (
     DEFAULT_FIELD,
     GF2,
@@ -219,8 +221,9 @@ def _unions(g: int, points) -> set[int]:
 
 
 def _swar_constants(width: int, count: int) -> tuple[int, int]:
-    """(guards, shift) of the SWAR max: the top bit of every field, and w - 1."""
-    return sum(1 << (at + width - 1) for at in _vector_offsets(width, count)), width - 1
+    """(guards, shift) of the SWAR max: the top bit of every field (the
+    repunit, the low bit of every field, shifted up), and w - 1."""
+    return (((1 << width * count) - 1) // ((1 << width) - 1)) << (width - 1), width - 1
 
 
 def _swar_joins(width: int, count: int):
@@ -430,8 +433,7 @@ def _level_plane(width: int, count: int) -> int:
     bit under the guard, or the field's one bit when it has no guard (width 1,
     bitmasks). A point y lies on level popcount(y & P), the number of its
     fields whose top value bit is set; on bitmasks that is the degree."""
-    top = max(width - 2, 0)
-    return sum(1 << (at + top) for at in _vector_offsets(width, count))
+    return (((1 << width * count) - 1) // ((1 << width) - 1)) << max(width - 2, 0)
 
 
 def _levels(points, plane: int):
@@ -680,7 +682,7 @@ def _gather(route: str, jobs, spheres: dict, supports=None) -> _SweepPlan:
             placed.setdefault(core, []).append((degree, weight))
     swept: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     # two cores can be taken as the same complex, which is tested once
-    sphere_dimension = functools.cache(_sphere_dimension)
+    tested: dict[tuple[int, ...], int | None] = {}
     for core, placements in placed.items():
         if supports is not None:
             dual = _dual_core(core, supports)
@@ -689,7 +691,9 @@ def _gather(route: str, jobs, spheres: dict, supports=None) -> _SweepPlan:
             if _subsets(dual) < _subsets(core):
                 n = functools.reduce(operator.or_, core).bit_count()
                 core, placements = dual, [(degree, weight, n) for degree, weight in placements]
-        d = sphere_dimension(core)
+        if core not in tested:
+            tested[core] = _sphere_dimension(core)
+        d = tested[core]
         if d is None:
             swept.setdefault(core, []).extend(placements)
         else:
@@ -698,15 +702,15 @@ def _gather(route: str, jobs, spheres: dict, supports=None) -> _SweepPlan:
     return _SweepPlan(spheres, list(swept.items()))
 
 
-def _hochster_plan(ideal: MonomialIdeal, symmetries, primes=None) -> _SweepPlan:
-    """The restriction sweep's plan; ``primes``, the ideal's minimal primes,
-    are found here unless the caller has them already."""
+def _hochster_plan(ideal: MonomialIdeal, symmetries, covers=None) -> _SweepPlan:
+    """The restriction sweep's plan; ``covers``, the masks of the ideal's
+    minimal primes, are found here unless the caller has them already."""
     count = ideal.ambient.count
     full = (1 << count) - 1
-    if primes is None:
-        primes = ideal.minimal_primes()
-    delta_facets = {full & ~_mask_of(p) for p in primes}
     gens = [g.support_mask() for g in ideal.gens]
+    if covers is None:
+        covers = complexes.minimal_vertex_covers(gens)
+    delta_facets = {full ^ p for p in covers}
     images = _symmetry_images(gens, symmetries, 1, list(range(count)))
     spheres: dict[tuple[int, int], int] = {}
 
@@ -770,9 +774,9 @@ def _koszul_plan(ideal: MonomialIdeal, symmetries) -> _SweepPlan:
     return _gather("koszul", jobs, spheres)
 
 
-def _sweep_plan(route: str, ideal: MonomialIdeal, symmetries, primes=None) -> _SweepPlan:
+def _sweep_plan(route: str, ideal: MonomialIdeal, symmetries, covers=None) -> _SweepPlan:
     if route == "hochster":
-        return _hochster_plan(ideal, symmetries, primes)
+        return _hochster_plan(ideal, symmetries, covers)
     return _koszul_plan(ideal, symmetries)
 
 
@@ -883,11 +887,11 @@ def betti_table_koszul(
     return _planned_tables("koszul", ideal, [field], symmetries)[0]
 
 
-def _planned_tables(route: str, ideal: MonomialIdeal, fields, symmetries, primes=None):
+def _planned_tables(route: str, ideal: MonomialIdeal, fields, symmetries, covers=None):
     """The route's tables of the ideal over each of ``fields``, in order. The
     ones not cached yet come from one sweep of one plan, and are cached;
-    ``primes`` are the ideal's minimal primes, if the caller has them (only
-    the restriction sweep uses them)."""
+    ``covers`` are the masks of the ideal's minimal primes, if the caller has
+    them (only the restriction sweep uses them)."""
     if route == "hochster" and not ideal.is_squarefree:
         raise ValueError("the restriction sweep requires a squarefree ideal")
     if ideal.is_zero or ideal.is_unit:
@@ -895,7 +899,7 @@ def _planned_tables(route: str, ideal: MonomialIdeal, fields, symmetries, primes
     keys = [_cache_key(ideal, field, route, symmetries) for field in fields]
     missing = {key: field for key, field in zip(keys, fields) if key not in _TABLE_CACHE}
     if missing:
-        plan = _sweep_plan(route, ideal, symmetries, primes)
+        plan = _sweep_plan(route, ideal, symmetries, covers)
         worker = _hochster_chunk if route == "hochster" else _koszul_chunk
         parts = _map_chunks(worker, route, plan.cores, list(missing.values()))
         for (key, field), entries in zip(missing.items(), parts):
@@ -1028,19 +1032,21 @@ def invariant_report(
         raise ValueError("declared ambient is smaller than the support")
     start = time.perf_counter()
     route = "hochster" if ideal.is_squarefree else "koszul"
-    # a squarefree ideal is its own radical
-    primes = (ideal if route == "hochster" else ideal.radical()).minimal_primes()
+    # a squarefree ideal is its own radical; the covers of its generator
+    # supports are the masks of the minimal primes
+    radical = ideal if route == "hochster" else ideal.radical()
+    covers = complexes.minimal_vertex_covers([g.support_mask() for g in radical.gens])
     fields = [field]
     if cross_check:
         fields.append(GF2 if field.characteristic != 2 else DEFAULT_FIELD)
     # one sweep for every field; the table calls below find the tables cached
-    _planned_tables(route, ideal, fields, symmetries, primes)
+    _planned_tables(route, ideal, fields, symmetries, covers)
     table = betti_table(ideal, field, symmetries)
     quotient = table.quotient()
     reg = quotient.reg()
     pd = quotient.pd()
     depth = ambient_count - pd
-    sizes = [len(p) for p in primes]
+    sizes = [p.bit_count() for p in covers]
     height = min(sizes)
     bight = max(sizes)
     dim = ambient_count - height

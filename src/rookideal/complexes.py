@@ -2,7 +2,9 @@
 
 Covers the facet ideal of a complex, exact minimal-vertex-cover enumeration
 (Berge's sequential transversals) and the induced-matching regularity lower
-bound.
+bound. The cover search takes facet masks and returns the covers as masks,
+which the Betti plan uses as they are; MonomialIdeal.minimal_primes() is
+their sorted tuple view.
 
 The void complex (no facets at all) and the irrelevant complex (only facet
 the empty set) are distinct and both representable.
@@ -32,10 +34,6 @@ class SimplicialComplex:
         facets = sorted((tuple(_bits(m)) for m in _maximal_masks(masks)), key=lambda f: (len(f), f))
         return cls(vertices, tuple(facets))
 
-    @property
-    def is_void(self) -> bool:
-        return not self.facets
-
     def facet_masks(self) -> tuple[int, ...]:
         return tuple(_mask_of(f) for f in self.facets)
 
@@ -46,8 +44,8 @@ def facet_ideal_of_complex(cx: SimplicialComplex) -> MonomialIdeal:
     return min_gens([Monomial.from_support(cx.vertices, f) for f in cx.facets], cx.vertices)
 
 
-def _minimal_transversals(facet_masks: tuple[int, ...]) -> list[int]:
-    """All inclusion-minimal vertex sets meeting every facet mask.
+def minimal_vertex_covers(facet_masks) -> list[int]:
+    """All inclusion-minimal vertex sets meeting every facet mask, as masks.
 
     Berge's sequential method: start from the empty set and add the facets
     one at a time. A transversal that meets the new facet f is kept; one that
@@ -55,8 +53,11 @@ def _minimal_transversals(facet_masks: tuple[int, ...]) -> list[int]:
     some kept set lies inside it. No two grown sets contain one another, so
     nothing else needs checking. Facets go in increasing mask order, which
     keeps the intermediate families small (taking the 4x6 board's facets in
-    set order instead is ten times slower).
+    set order instead is ten times slower). Any family will do: its covers
+    are those of its inclusion-minimal members.
     """
+    if not facet_masks:
+        raise ValueError("the void complex has no facets to cover")
     transversals = [0]
     for f in sorted(set(facet_masks)):
         hit = [t for t in transversals if t & f]
@@ -77,13 +78,6 @@ def _minimal_transversals(facet_masks: tuple[int, ...]) -> list[int]:
                         grown.append(u)
         transversals = hit + grown
     return transversals
-
-
-def minimal_vertex_covers(cx: SimplicialComplex) -> tuple[tuple[int, ...], ...]:
-    """All minimal vertex covers, canonically sorted."""
-    if cx.is_void:
-        raise ValueError("the void complex has no facets to cover")
-    return tuple(sorted(tuple(_bits(m)) for m in _minimal_transversals(cx.facet_masks())))
 
 
 def induced_matching_bound(

@@ -250,14 +250,15 @@ class MonomialIdeal:
         )
 
     def minimal_primes(self) -> tuple[tuple[int, ...], ...]:
-        """Minimal primes as variable-index subsets: the minimal vertex covers
-        of the complex generated by the generator supports, found by Berge's
-        sequential transversal method on every call."""
+        """Minimal primes as sorted variable-index tuples, in sorted order: the
+        tuple view of the minimal vertex covers of the generator supports,
+        which Berge's sequential transversal method finds as masks on every
+        call."""
         self._require_squarefree_proper()
-        from .complexes import SimplicialComplex, minimal_vertex_covers
+        from . import complexes
 
-        cx = SimplicialComplex.from_facets(self.ambient, [g.support() for g in self.gens])
-        return minimal_vertex_covers(cx)
+        covers = complexes.minimal_vertex_covers([g.support_mask() for g in self.gens])
+        return tuple(sorted(tuple(_bits(m)) for m in covers))
 
     def alexander_dual(self) -> "MonomialIdeal":
         """Squarefree dual generated by the variable products of the minimal primes."""

@@ -2,12 +2,12 @@
 
 SUITES maps each suite name to the function that runs it: ``paper`` checks
 the paper's statements on small boards, ``properties`` checks general laws
-on a corpus and on seeded random ideals, and ``long`` holds the 4x5 board
-ideal, whose values are frozen as computed. All expected values are integers
-and matches are exact. A case read off an invariant report (_report_case)
-computes it at characteristic 32003 with a GF(2) cross-run; a disagreement
-between the two fields fails the case with a torsion diagnostic instead of
-silently picking one.
+on a corpus and on seeded random ideals; the paper suite's 4x5 board ideal
+values are frozen as computed, not taken from the paper. All expected values
+are integers and matches are exact. A case read off an invariant report
+(_report_case) computes it at characteristic 32003 with a GF(2) cross-run; a
+disagreement between the two fields fails the case with a torsion diagnostic
+instead of silently picking one.
 """
 
 from __future__ import annotations
@@ -269,15 +269,11 @@ def paper_suite():
             board_symmetries(board),
         )
     )
-    return cases
 
-
-def long_suite():
-    """Cases too slow for the paper suite. The 4x5 values are not from the
-    paper: reg and depth are frozen as computed, with 32003 and GF(2)
-    agreeing, so the case guards against a change in them."""
+    # not from the paper: reg and depth are frozen as computed, with 32003
+    # and GF(2) agreeing, so the case guards against a change in them
     board = Board(4, 5)
-    return [
+    cases.append(
         _report_case(
             "four-five",
             "reg and depth of the 4x5 board ideal (frozen, not from the paper)",
@@ -286,7 +282,8 @@ def long_suite():
             facet_ideal(board),
             board_symmetries(board),
         )
-    ]
+    )
+    return cases
 
 
 # ---------------------------------------------------------------------------
@@ -683,7 +680,7 @@ def properties_suite():
     return cases
 
 
-SUITES = {"paper": paper_suite, "properties": properties_suite, "long": long_suite}
+SUITES = {"paper": paper_suite, "properties": properties_suite}
 
 
 def run_suite(name: str):

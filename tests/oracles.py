@@ -96,7 +96,7 @@ def plain_betti(facets, field):
 
 def induced(cx, subset):
     """The induced subcomplex on a vertex subset: the faces inside it."""
-    if cx.is_void:
+    if not cx.facets:
         return cx
     inside = set(subset)
     return SimplicialComplex.from_facets(cx.vertices, [set(f) & inside for f in cx.facets])

@@ -652,14 +652,15 @@ class TestOrbitSweep:
         # tracemalloc; keeping every lattice point seen peaked at 4.9 MB
         import tracemalloc
 
-        from rookideal import betti
+        from rookideal import betti, complexes
 
         board = Board(4, 4)
         ideal = stanley_reisner_ideal(board)
-        perms, primes = board_symmetries(board), ideal.minimal_primes()
+        perms = board_symmetries(board)
+        covers = complexes.minimal_vertex_covers([g.support_mask() for g in ideal.gens])
         tracemalloc.start()
         try:
-            betti._hochster_plan(ideal, perms, primes)
+            betti._hochster_plan(ideal, perms, covers)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -836,6 +837,56 @@ def _random_monomial_ideals(count: int, nvars: int, top: int, seed: int):
         if not ideal.is_zero and not ideal.is_squarefree:
             out.append(ideal)
     return out
+
+
+class TestCoverMasks:
+    """The minimal primes go from the cover search to the plan as masks, and
+    the plan's constants are closed forms."""
+
+    def test_given_covers_give_the_same_plan(self):
+        from rookideal import betti, complexes
+        from rookideal.monomials import _bits
+
+        boards = ((facet_ideal, Board(3, 4)), (stanley_reisner_ideal, Board(3, 5)))
+        cases = [(kind(board), board_symmetries(board)) for kind, board in boards]
+        cases += [(ideal, None) for ideal in _random_squarefree_ideals(20, 8, seed=31)]
+        for ideal, perms in cases:
+            covers = complexes.minimal_vertex_covers([g.support_mask() for g in ideal.gens])
+            assert sorted(tuple(_bits(p)) for p in covers) == list(ideal.minimal_primes())
+            assert betti._hochster_plan(ideal, perms, covers) == betti._hochster_plan(ideal, perms)
+
+    def test_closed_form_constants_match_the_field_sums(self):
+        from rookideal import betti
+
+        for width in range(1, 9):
+            for count in range(1, 41):
+                offsets = range(0, width * count, width)
+                guards = sum(1 << (at + width - 1) for at in offsets)
+                plane = sum(1 << (at + max(width - 2, 0)) for at in offsets)
+                assert betti._swar_constants(width, count) == (guards, width - 1)
+                assert betti._level_plane(width, count) == plane
+
+    def test_a_restriction_table_searches_the_covers_once(self, monkeypatch):
+        # the benchmark times the cover search by wrapping
+        # complexes.minimal_vertex_covers, so the plan must call it there
+        from rookideal import betti, complexes
+
+        calls = []
+        search = complexes.minimal_vertex_covers
+
+        def counted(masks):
+            calls.append(masks)
+            return search(masks)
+
+        monkeypatch.setattr(complexes, "minimal_vertex_covers", counted)
+        monkeypatch.setattr(MonomialIdeal, "minimal_primes", lambda ideal: pytest.fail("tuple view in the plan"))
+        (ideal,) = _random_squarefree_ideals(1, 7, seed=41)
+        betti.clear_table_cache()
+        try:
+            betti_table_hochster(ideal)
+        finally:
+            betti.clear_table_cache()
+        assert calls == [[g.support_mask() for g in ideal.gens]]
 
 
 class TestClosedFormSpheres:

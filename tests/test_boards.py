@@ -132,7 +132,7 @@ class TestSubcomplexes:
         assert facets == {("x11", "x23"), ("x12", "x23")}
 
     def test_a_full_column_range_is_void(self):
-        assert subcomplex_a(Board(2, 3), 3).is_void
+        assert subcomplex_a(Board(2, 3), 3).facets == ()
         assert facet_ideal_of_complex(subcomplex_a(Board(2, 3), 3)).is_zero
 
     def test_b_example(self):
