@@ -32,24 +32,14 @@ mapped through every member, by a few big-int operations and one unpack.
 The symmetry check tests only the permutations that Dimino's method takes as
 generators. On the lattice route a point's degree is read off its bit
 planes (bit j of every field), and a facet's variable mask off the guard
-bits of b - g. Before any facet is built, a job is read off the r generators
-it holds (those inside sigma, or those dividing b; b is their lcm) when the
-subsets of them with lcm b are exactly those that hold one set M.
-beta_{i,b} is the reduced homology in dimension i - 1 of the complex of
-the subsets whose lcm is not b (from the Taylor resolution, Taylor 1966;
-Gasharov, Peeva and Welker 1999), which is then {S : S does not hold M}.
-When M holds all r, that is the boundary of a simplex, so beta_{r-1,b} = 1
-and every other beta_{i,b} is 0, and the job adds (r - 1, degree) in closed
-form. Otherwise it is a cone over any generator outside M, so every
-beta_{i,b} is 0 over every field, and the job is dropped. M is the set of
-generators that reach b's exponent at some variable where no other one
-does: every subset with lcm b holds M, and M has lcm b when every variable
-that some generator reaches is reached by one in M (see _lone_lcm, which
-tries this only when r is at most the number of variables). Every other
-complex is cut to its strong core: dominated vertices (another vertex lies
-in every facet through them) are deleted one at a time, which keeps the
-homotopy type and so the reduced homology over every field, and a job
-whose core is a point is dropped. The jobs are then grouped by core, with
+bits of b - g. Before any facet is built, _lone_lcm tries to read a job
+off the r generators it holds (those inside sigma, or those dividing b; b
+is their lcm) by the Taylor resolution and the nerve theorem: a sphere
+adds its one entry in closed form, and a cone is dropped.
+Every other complex is cut to its strong core: dominated vertices (another
+vertex lies in every facet through them) are deleted one at a time, which
+keeps the homotopy type and so the reduced homology over every field, and
+a job whose core is a point is dropped. The jobs are then grouped by core, with
 the (degree, orbit size) of each job that has it. On the restriction route
 a core K is an induced subcomplex (a strong collapse only deletes vertices),
 so its minimal non-faces are the generator supports inside its vertex set V,
@@ -106,7 +96,7 @@ from .homology import (
     betti_of_face_masks,
     faces_by_dim_masks,
 )
-from .monomials import MonomialIdeal, _bits, _mask_of, _maximal_masks, min_gens
+from .monomials import MonomialIdeal, _bits, _maximal_masks, min_gens
 
 _TABLE_CACHE: dict[tuple, "BettiTable"] = {}
 
@@ -586,27 +576,47 @@ def _sphere_dimension(facets) -> int | None:
 
 
 def _lone_lcm(tight, count: int) -> int | None:
-    """beta_{r-1,b} when the Taylor rule (see the module docstring) decides
-    every Betti number of the lattice point b from the r generators that
-    divide it, else None. ``tight`` holds one mask per divisor, with one bit
-    for each variable where it reaches b's exponent (the same bit for a
-    variable in every mask), and ``count`` is the number of variables.
+    """k when the Taylor rule reads the Betti numbers of the lattice point b
+    off the r generators that divide it as beta_{k-1,b} = 1 and every other
+    one 0; 0 when it reads every one as 0 (a cone); else None. ``tight``
+    holds one mask per divisor, with one bit for each variable where it
+    reaches b's exponent (the same bit for a variable in every mask), and
+    ``count`` is the number of variables.
 
-    A subset has lcm b exactly when, at every variable, it holds a divisor
-    that reaches b there. So it holds every divisor in M, those that reach b
-    at some variable where no other one does (``twice`` gathers the
-    variables two divisors reach). When the masks of M cover every variable
-    that some divisor reaches (``covered == seen``), M has lcm b, and the
-    subsets with lcm b are those that hold M: 1 is returned when M holds all
-    r divisors (a sphere) and 0 when it does not (a cone).
+    beta_{i,b} is the reduced homology in dimension i - 1 of the complex of
+    the subsets of the divisors whose lcm is not b (from the Taylor
+    resolution, Taylor 1966; Gasharov, Peeva and Welker 1999). Let T^v be
+    the divisors that reach b at v. A subset has lcm b exactly when it meets
+    every T^v, so that complex is the union of the simplices on the
+    complements of the minimal T^v, T_1, ..., T_k. Some of those simplices
+    meet exactly when their T_i leave a divisor out, and then they meet in a
+    simplex, so by the nerve theorem (Bjoerner 1995) the complex has the
+    homotopy type of the nerve {I : the T_i, i in I, leave a divisor out}. When the T_i are pairwise disjoint
+    and hold every divisor, that is the boundary of a simplex on k vertices,
+    a (k-2)-sphere. When a divisor is in no T_i, it is in every simplex of
+    the cover, so the complex is a cone over it.
 
-    With r > count, None is returned at once: M cannot hold all r then, and
-    the pass would find few zeros (31 of the 741 such points of a seed-1
-    lattice-powers pass, none on squarefree-boards). Without this guard, the
-    pass at every lattice point of the board powers (r reaches 120 on 6
-    variables) made the lattice-powers workload's solve_s 5% slower
-    (power-2x3-t4 17.9 -> 19.5 ms); with it, that workload did not change
-    (0.994 of the time without the zero rule)."""
+    The first stage takes the case where every minimal T^v is one divisor.
+    M, the divisors that reach b at some variable where no other one does
+    (``twice`` gathers the variables two divisors reach), gives the
+    singletons, and they are all the minimal T^v when the masks of M cover
+    every variable that some divisor reaches (``covered == seen``): then r
+    is returned when M holds all r divisors (k = r) and 0 when it does not.
+    Otherwise the second stage transposes the masks into one bitset T^v over
+    the divisor positions for each variable reached, keeps the minimal
+    distinct ones, smallest first, returns None as soon as one meets an
+    earlier one, and k or 0 when none does. The second stage alone would
+    give the same answers where the first decides, but the first is the
+    cheaper test for the common case: without it, random-ideals took 1.50x
+    the time in-process (seed 1, 12 alternating rounds; 1.48x at seed 2, 8
+    rounds; one CPU of a 2-vCPU host), and the board workloads 1.00x.
+
+    With r > count, None is returned at once. On a seed-1 lattice-powers
+    pass, 741 of the 933 points have more divisors than variables (up to 120
+    on 6 variables). Running both stages there too read off 129 more cones
+    and no sphere, but made the pass 1.42x slower in-process (11 alternating
+    rounds, one CPU of a 2-vCPU host); squarefree-boards, whose 144 such
+    points the rule leaves, and random-ideals read 1.02x."""
     if len(tight) > count:
         return None
     seen = twice = 0
@@ -618,9 +628,24 @@ def _lone_lcm(tight, count: int) -> int | None:
         if t & ~twice:
             covered |= t
             private += 1
-    if covered != seen:
-        return None
-    return 1 if private == len(tight) else 0
+    if covered == seen:
+        return len(tight) if private == len(tight) else 0
+    reach: dict[int, int] = {}
+    for j, t in enumerate(tight):
+        for v in _bits(t):
+            reach[v] = reach.get(v, 0) | 1 << j
+    minimal: list[int] = []
+    union = 0
+    for s in sorted(set(reach.values()), key=int.bit_count):
+        for m in minimal:
+            if m & s == m:
+                break
+        else:
+            if s & union:
+                return None
+            minimal.append(s)
+            union |= s
+    return len(minimal) if union == (1 << len(tight)) - 1 else 0
 
 
 def _place(out: dict, route: str, placement, e: int, v: int) -> None:
@@ -726,7 +751,7 @@ def _hochster_plan(ideal: MonomialIdeal, symmetries, covers=None) -> _SweepPlan:
             if beta is None:
                 yield {f & sigma for f in delta_facets}, degree, weight
             elif beta:
-                key = (len(inside) - 1, degree)
+                key = (beta - 1, degree)
                 spheres[key] = spheres.get(key, 0) + weight
 
     return _gather("hochster", jobs(), spheres, gens)
@@ -743,9 +768,9 @@ def _koszul_plan(ideal: MonomialIdeal, symmetries) -> _SweepPlan:
     images = _symmetry_images(gens, symmetries, width, offsets)
     # bit plane j: bit j of every field, so b's degree is sum 2^j |b & plane j|
     planes = [ones << j for j in range(width - 1)]
-    # the guard bit of variable i's field -> i, and the guard bits of the
-    # fields where g reaches b -> the mask of the other variables
-    variable = {at + width - 1: i for i, at in enumerate(offsets)}
+    # the guard bit of variable i's field and the bit of i; the guard bits
+    # of the fields where g reaches b -> the mask of the other variables
+    pairs = [(1 << (at + width - 1), 1 << i) for i, at in enumerate(offsets)]
     masks: dict[int, int] = {}
     jobs = []
     spheres: dict[tuple[int, int], int] = {}
@@ -760,7 +785,7 @@ def _koszul_plan(ideal: MonomialIdeal, symmetries) -> _SweepPlan:
         beta = _lone_lcm(tight, count)
         if beta is not None:
             if beta:
-                key = (len(tight) - 1, degree)
+                key = (beta - 1, degree)
                 spheres[key] = spheres.get(key, 0) + weight
             continue
         facets = []
@@ -768,7 +793,11 @@ def _koszul_plan(ideal: MonomialIdeal, symmetries) -> _SweepPlan:
         for t in set(tight):
             mask = masks.get(t)
             if mask is None:
-                mask = masks[t] = _mask_of(variable[guard] for guard in _bits(guards ^ t))
+                mask = 0
+                for guard, bit in pairs:
+                    if not t & guard:
+                        mask |= bit
+                masks[t] = mask
             facets.append(mask)
         jobs.append((facets, degree, weight))
     return _gather("koszul", jobs, spheres)

@@ -40,6 +40,13 @@ LONG_GUARD_LIMIT = 1 << 29
 # (7.8e7, 1.6-1.8 s) run and stops 6x6 (4.5e8, 37 s), timed end to end as
 # `rookideal primes --method brute` on a shared 2-vCPU host
 COVER_GUARD_LIMIT = 1 << 27
+# sum over k <= k_max of C(facets, k) counts the facet combinations the
+# induced-matching search tries; timed end to end as `rookideal matching` on
+# one CPU of a shared 2-vCPU host, this limit lets 4x5, 5x5 and 3x6 at the
+# default k_max 3 (288,100, 0.2-0.4 s) and 6x6 at k_max 2 (259,560, 0.2 s)
+# run, and stops 3x6 at k_max 4 (8.5e6, 3.6 s), 4x6 at 3 (7.8e6, 8.2 s) and
+# 5x6 and 6x6 at 3 (6.2e7, not done in 60 s)
+MATCHING_GUARD_LIMIT = 1 << 20
 
 
 class UsageError(Exception):
@@ -174,6 +181,10 @@ def cmd_betti(args) -> int:
 
 def cmd_matching(args) -> int:
     board = _checked_board(args)
+    facets = math.perm(board.n, board.m)  # one per placement of m rooks
+    predicted = sum(math.comb(facets, k) for k in range(1, min(args.k_max, facets) + 1))
+    if _refused(args, "matching", predicted, MATCHING_GUARD_LIMIT, " or lower --k-max"):
+        return 3
     value, witness = induced_matching_bound(chessboard_complex(board), args.k_max)
     labels = board.vars.labels
     print(f"bound {value}")
@@ -226,6 +237,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("matching", help="induced-matching regularity lower bound")
     _board_args(p)
     p.add_argument("--k-max", type=int, default=3)
+    p.add_argument("--allow-long", action="store_true")
     p.set_defaults(func=cmd_matching)
 
     p = sub.add_parser("verify", help="run a reproduction suite")

@@ -889,6 +889,15 @@ class TestCoverMasks:
         assert calls == [[g.support_mask() for g in ideal.gens]]
 
 
+def _rule_answer(r: int, beta) -> str | None:
+    """How _lone_lcm answered at a point with r divisors: None (it left the
+    job), a cone, a sphere whose minimal reach sets are r single divisors
+    (the first stage), or one with a block of two or more divisors."""
+    if beta is None:
+        return None
+    return "cone" if not beta else "lone" if beta == r else "block"
+
+
 class TestClosedFormSpheres:
     """A job at a lattice point that is the lcm of exactly one subset of the
     generators it holds is read off them, before any complex is built."""
@@ -912,9 +921,10 @@ class TestClosedFormSpheres:
 
     def test_random_ideals_workload_counts(self, monkeypatch):
         # both plans of every ideal of the benchmark's random-ideals workload
-        # at seed 1: on each route the rule reads off 1,702 spheres and 238
-        # cones and leaves 223 jobs; _strong_core runs 604 times (1,093 when
-        # the rule read off spheres only) and the sphere test 320 times
+        # at seed 1: on each route the rule reads off 1,815 spheres (113 of
+        # them with a block of two or more divisors) and 255 cones and leaves
+        # 93 jobs; _strong_core runs 255 times (604 when every minimal reach
+        # set had to be one divisor) and the sphere test 136 times (320)
         from rookideal import betti
 
         spec = importlib.util.spec_from_file_location(
@@ -931,7 +941,7 @@ class TestClosedFormSpheres:
                 out = real(*args)
                 calls[name] += 1
                 if name == "_lone_lcm":
-                    answers[route, out] += 1
+                    answers[route, _rule_answer(len(args[0]), out)] += 1
                 return out
 
             monkeypatch.setattr(betti, name, counted)
@@ -939,11 +949,11 @@ class TestClosedFormSpheres:
             for route in ("hochster", "koszul"):
                 betti._sweep_plan(route, case.ideal, None)
         assert answers == {
-            (route, beta): count
+            (route, kind): count
             for route in ("hochster", "koszul")
-            for beta, count in ((1, 1702), (0, 238), (None, 223))
+            for kind, count in (("lone", 1702), ("block", 113), ("cone", 255), (None, 93))
         }
-        assert calls["_strong_core"] == 604 and calls["_sphere_dimension"] == 320
+        assert calls["_strong_core"] == 255 and calls["_sphere_dimension"] == 136
 
 
 class TestStrongCore:
@@ -1147,15 +1157,16 @@ class TestSphereCores:
 
     @pytest.mark.parametrize("grouped", [False, True])
     def test_one_sphere_test_per_distinct_core(self, monkeypatch, grouped):
-        # on the 3x4 facet plan many jobs share a core; each distinct core
+        # on the 2x5 facet plan many jobs share a core; each distinct core
         # whose dual is not a point is taken as itself or as the strong core
         # of its dual, whichever has fewer subsets, and each distinct complex
-        # taken is tested once, also when two cores take the same one; a job
-        # read off the generators reaches neither the strong core nor the
-        # sphere test
+        # taken is tested once, also when two cores take the same one (with
+        # the board group, the 3x4 plan has no two such cores); a job read
+        # off the generators reaches neither the strong core nor the sphere
+        # test
         from rookideal import betti
 
-        board = Board(3, 4)
+        board = Board(2, 5)
         ideal = facet_ideal(board)
         jobs, tested, read_off = [], [], []
         gather, sphere_dimension, lone_lcm = betti._gather, betti._sphere_dimension, betti._lone_lcm
@@ -1169,8 +1180,8 @@ class TestSphereCores:
             return sphere_dimension(facets)
 
         def classified(tight, count):
-            read_off.append(lone_lcm(tight, count))
-            return read_off[-1]
+            read_off.append((len(tight), lone_lcm(tight, count)))
+            return read_off[-1][1]
 
         monkeypatch.setattr(betti, "_gather", recorded)
         monkeypatch.setattr(betti, "_sphere_dimension", counted)
@@ -1187,9 +1198,11 @@ class TestSphereCores:
         assert len(jobs) > len(distinct) > 1
         assert len(taken) > len(set(taken))  # two cores take the same complex
         assert sorted(tested) == sorted(set(taken))
-        # None: the rule leaves the job; 1 and 0: it reads it off
-        decided = [beta for beta in read_off if beta is not None]
-        assert len(jobs) + len(decided) == len(read_off) and set(decided) == {0, 1}
+        # None: the rule leaves the job; k > 0 (a sphere, k = r or a block
+        # of two or more divisors) and 0 (a cone): it reads it off
+        decided = [(r, beta) for r, beta in read_off if beta is not None]
+        assert len(jobs) + len(decided) == len(read_off)
+        assert {_rule_answer(r, beta) for r, beta in decided} == {"cone", "lone", "block"}
 
     def test_one_sweep_reduces_each_distinct_core_once_per_prime(self, monkeypatch):
         from rookideal import betti
@@ -1292,10 +1305,11 @@ class TestKoszulJobs:
     @pytest.mark.parametrize("width", [2, 3, 4, 5])
     def test_degrees_and_facets_match_the_exponents(self, monkeypatch, width):
         # every lattice point's job with the closed form switched off; with
-        # it, a point b whose r <= 4 divisors have, among their subsets with
-        # lcm b, exactly the supersets of one set M builds no facets, and
-        # adds the entry (r - 1, degree) when M holds all r, and nothing
-        # when it does not (a cone); the others are the same jobs as before
+        # it, a point b whose r <= 4 divisors have pairwise disjoint minimal
+        # reach sets (T^v, the divisors that reach b's exponent at v) builds
+        # no facets, and adds the entry (k - 1, degree) when the k minimal
+        # sets hold every divisor, and nothing when some divisor is in none
+        # (a cone); the others are the same jobs as before
         from rookideal import betti
 
         rng = random.Random(width)
@@ -1304,14 +1318,20 @@ class TestKoszulJobs:
         gathered = []
         monkeypatch.setattr(betti, "_gather", lambda route, found, spheres: gathered.append((found, spheres)))
         lone_lcm = betti._lone_lcm
-        read_off = kept = zeros = 0
+        read_off = kept = zeros = blocks = 0
         draws = [
             [(0, *(rng.randint(0, top) for _ in range(3))) for _ in range(rng.randint(1, 4))] for _ in range(6)
         ]
         # and a triangle on variables 1-3, whose top point the rule leaves,
-        # and x1^top, x1 x2, x2^top, whose top point is a cone from width 3
+        # and x1^top, x1 x2, x2^top, whose top point is a cone from width 3;
+        # from width 3 also x1^top x2, x1^top x3, x2^top x3^top, whose
+        # minimal reach sets at the top point are a block of the first two
+        # and the third (k = 2), and the same with x1 x2 x3^top, which lies
+        # in neither set (a cone that the first stage leaves)
         draws.append([(0, top, top, 0), (0, 0, top, top), (0, top, 0, top)])
         draws.append([(0, top, 0, 0), (0, 1, 1, 0), (0, 0, top, 0)])
+        block = [(0, top, 1, 0), (0, top, 0, 1), (0, 0, top, top)]
+        draws += [block, block + [(0, 1, 1, top)]]
         for drawn in draws:
             # (top, 0, 0, 0) and vectors that avoid variable 0: an antichain
             # whose largest exponent is top
@@ -1323,28 +1343,26 @@ class TestKoszulJobs:
             divisors = {b: [g for g in vectors if all(map(operator.le, g, b))] for b in lattice}
 
             def beta(b):
-                # beta_{r-1,b} read off the subsets of b's divisors with lcm
-                # b, or None when they are not the supersets of one set
+                # k, with beta_{k-1,b} = 1, when the minimal reach sets of
+                # b's divisors are k disjoint sets that hold every divisor,
+                # 0 when they are disjoint and some divisor is in none, and
+                # None when two meet or b has more than 4 divisors
                 gens = divisors[b]
                 if len(gens) > 4:
                     return None
-                hits = [
-                    set(subset)
-                    for k in range(1, len(gens) + 1)
-                    for subset in itertools.combinations(range(len(gens)), k)
-                    if tuple(max(gens[j][i] for j in subset) for i in range(4)) == b
-                ]
-                least = min(hits, key=len)
-                if not all(least <= hit for hit in hits):
+                reach = {frozenset(j for j, g in enumerate(gens) if g[i] == b[i]) for i in range(4)}
+                minimal = [s for s in reach if not any(t < s for t in reach)]
+                if any(s & t for s, t in itertools.combinations(minimal, 2)):
                     return None
-                return int(len(least) == len(gens))
+                return len(minimal) if sum(map(len, minimal)) == len(gens) else 0
 
             spheres = {}
             for b in lattice:
                 if beta(b):
-                    key = (len(divisors[b]) - 1, sum(b))
+                    key = (beta(b) - 1, sum(b))
                     spheres[key] = spheres.get(key, 0) + 1
             zeros += sum(beta(b) == 0 for b in lattice)
+            blocks += sum(_rule_answer(len(divisors[b]), beta(b)) == "block" for b in lattice)
             for closed in (False, True):
                 monkeypatch.setattr(betti, "_lone_lcm", lone_lcm if closed else lambda tight, count: None)
                 gathered.clear()
@@ -1358,7 +1376,7 @@ class TestKoszulJobs:
                     assert sorted(facets) == sorted(expected) and weight == 1
             read_off += len(lattice) - len(jobs)
             kept += len(jobs)
-        assert read_off > zeros and kept and (zeros or width == 2)
+        assert read_off > zeros and kept and (zeros and blocks or width == 2)
 
 
 class TestDualCores:

@@ -313,6 +313,32 @@ class TestMatchingCommand:
         assert lines[0] == "bound 4"
         assert len(lines) == 3  # two witness facets
 
+    @pytest.mark.parametrize("m", [5, 6])
+    def test_guard_trips_without_flag(self, capsys, monkeypatch, m):
+        # 720 facets: C(720, 3) + C(720, 2) + 720 triples, pairs and singles;
+        # without the guard 5x6 did not finish in 60 s
+        from rookideal import cli
+
+        def search(cx, k_max):
+            return 0, ()
+
+        monkeypatch.setattr(cli, "induced_matching_bound", search)
+        code, out, err = run_cli(capsys, "matching", "--m", str(m), "--n", "6")
+        assert code == 3 and out == ""
+        assert err == (
+            f"predicted matching cost 62208600 exceeds {1 << 20}; rerun with --allow-long or lower --k-max\n"
+        )
+        # the flag lets the same search start (stubbed here: it takes minutes)
+        code, out, _ = run_cli(capsys, "matching", "--m", str(m), "--n", "6", "--allow-long")
+        assert code == 0 and out == "bound 0\n"
+
+    @pytest.mark.parametrize("m, n, k_max", [(3, 4, 3), (4, 5, 3), (5, 5, 3), (6, 6, 2)])
+    def test_sub_second_inputs_run_without_flag(self, capsys, m, n, k_max):
+        # 3x4: 2,324 facet combinations; 4x5 and 5x5: 288,100; 6x6 at
+        # k_max 2: 259,560, each under the limit
+        code, out, err = run_cli(capsys, "matching", "--m", str(m), "--n", str(n), "--k-max", str(k_max))
+        assert code == 0 and err == "" and out.startswith("bound ")
+
 
 class TestUsage:
     def test_unknown_command(self, capsys):

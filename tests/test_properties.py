@@ -465,12 +465,15 @@ def support_ideals(draw):
 @example(min_gens([Monomial.from_support(VariableSet.generic(3), s) for s in [(0, 1), (1, 2), (0, 2)]], VariableSet.generic(3)))
 @example(min_gens([Monomial.from_support(VariableSet.generic(4), s) for s in [(0, 1), (1, 2), (2, 3)]], VariableSet.generic(4)))
 @example(min_gens([Monomial(VariableSet.generic(2), e) for e in [(2, 0), (1, 1), (0, 2)]], VariableSet.generic(2)))
+@example(min_gens([Monomial.from_support(VariableSet.generic(4), s) for s in [(0, 1), (1, 2), (0, 2, 3)]], VariableSet.generic(4)))
+@example(min_gens([Monomial.from_support(VariableSet.generic(6), s) for s in [(0, 2, 5), (0, 3, 5), (1, 2, 3, 4), (0, 4)]], VariableSet.generic(6)))
 def test_lone_lcm_jobs_match_the_kernel(ideal):
     # every lattice point that the rule decides has the reduced homology,
     # over both fields, that it reads off: one Betti number, 1 at
-    # (r - 1, degree), when it returns 1 (a sphere: b is the lcm of all r
-    # of its divisors and of no other subset), and none when it returns 0
-    # (a cone: the subsets with lcm b are the supersets of a smaller set).
+    # (k - 1, degree), when it returns k > 0 (the k minimal reach sets are
+    # disjoint and hold every divisor, so the complex is S^(k-2): d = k - 2
+    # on the lattice route, |sigma| - k - 1 on the restriction route), and
+    # none when it returns 0 (a cone: some divisor is in no minimal set).
     # With no strong core read off as a sphere, the plan's closed-form
     # entries are exactly the spheres, from asking the rule about every
     # lattice point with the generators it holds, and only the points it
@@ -478,8 +481,13 @@ def test_lone_lcm_jobs_match_the_kernel(ideal):
     # on 5 and on 9 variables (on 9 the top restriction, a 2-sphere, has a
     # strong core that is not a join of simplex boundaries); a triangle,
     # whose top point is the lcm of every two of its generators, so the
-    # rule leaves it; and two cones, the top points of the path x0x1, x1x2,
-    # x2x3 and of x0^2, x0x1, x1^2, which the lcm of the two ends reaches
+    # rule leaves it; two cones, the top points of the path x0x1, x1x2,
+    # x2x3 and of x0^2, x0x1, x1^2, which the lcm of the two ends reaches;
+    # the top point of x0x1, x1x2, x0x2x3, whose minimal reach sets are
+    # {x0x2x3} and {x0x1, x1x2}, so k = 2 < r and H~_0 = 1; and a cone that
+    # only the second stage reads off, the top point of x0x2x5, x0x3x5,
+    # x1x2x3x4, x0x4, whose minimal reach sets {x0x2x5, x0x3x5} and
+    # {x1x2x3x4} leave out x0x4
     from unittest import mock
 
     from rookideal.homology import betti_of_face_masks, faces_by_dim_masks
@@ -496,14 +504,13 @@ def test_lone_lcm_jobs_match_the_kernel(ideal):
             asked.append((sorted(map(int.bit_count, tight)), taken))
             if taken is None:
                 continue
-            r = len(tight)
             # H~_d counts at |sigma| - d - 2 (Hochster) or d + 1 (Koszul)
-            d = sum(b) - r - 1 if route == "hochster" else r - 2
+            d = sum(b) - taken - 1 if route == "hochster" else taken - 2
             for field in (DEFAULT_FIELD, GF2):
                 found = betti_of_face_masks(faces_by_dim_masks(complex_), field)
                 assert {e: v for e, v in found.items() if v} == ({d: 1} if taken else {}), (route, b, field)
             if taken:
-                expected[(r - 1, sum(b))] = expected.get((r - 1, sum(b)), 0) + 1
+                expected[(taken - 1, sum(b))] = expected.get((taken - 1, sum(b)), 0) + 1
         recorded, jobs = [], []
         real, gather = betti._lone_lcm, betti._gather
 
